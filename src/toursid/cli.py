@@ -9,16 +9,12 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import classify, construct, core, hom, search, signed, spectral, stochastic, trees
 from .errors import ToursidError
-
-CACHE_ENV = "TOURSID_CACHE_DIR"
 
 
 def _frac(x) -> str:
@@ -112,7 +108,7 @@ def _cmd_hom(args) -> int:
         label = f"cycle {args.pattern_cycle}"
     elif args.pattern_file:
         d = core.parse_digraph_text(_read_file(args.pattern_file))
-        res = hom.hom_auto(d, host)
+        res = hom.hom_count(d, host)
         label = f"digraph v={d.v}"
     else:
         res = hom.hom_path(args.pattern_path, host)
@@ -189,51 +185,17 @@ def _cmd_certificate(args) -> int:
     return 0
 
 
-def _cache_path(cache_dir: str, pattern: str, mode: str, n: int) -> str:
-    key = hashlib.sha256(f"{pattern}|{mode}|{n}".encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"refute_{key}.json")
-
-
 def _cmd_verify(args) -> int:
     mode = args.mode.upper()
     if args.pattern_file:
         pattern = core.parse_digraph_text(_read_file(args.pattern_file))
-        pattern_key = core.format_digraph_text(pattern)
     else:
         pattern = args.pattern
-        pattern_key = str(core.as_orientation(pattern))
     if args.budget and args.seed is None:
         raise ToursidError("--seed is required when the optimizer budget is nonzero")
-    cache_dir = os.environ.get(CACHE_ENV)
-    cached = None
-    if cache_dir and not args.budget:
-        os.makedirs(cache_dir, exist_ok=True)
-        p = _cache_path(cache_dir, pattern_key, mode, args.max_n)
-        if os.path.exists(p):
-            with open(p, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if entry.get("violation") is None:
-                margin = Fraction(entry["margin_min"]) if entry.get("margin_min") else None
-                cached = search.RefutationReport(
-                    entry["pattern_text"], mode, entry["n"], entry["samples"], None, margin
-                )
-    if cached is not None:
-        report = cached
-    else:
-        report = search.refute(
-            pattern, mode, n_max=args.max_n, budget=args.budget, seed=args.seed or 0,
-            threads=max(1, args.threads),
-        )
-        if cache_dir and not args.budget and report.violation is None:
-            p = _cache_path(cache_dir, pattern_key, mode, args.max_n)
-            with open(p, "w", encoding="utf-8") as fh:
-                json.dump({
-                    "violation": None,
-                    "n": report.n_checked,
-                    "samples": report.samples,
-                    "pattern_text": report.pattern_text,
-                    "margin_min": _frac(report.margin_min) if report.margin_min is not None else None,
-                }, fh)
+    report = search.refute(
+        pattern, mode, n_max=args.max_n, budget=args.budget, seed=args.seed or 0
+    )
     if args.out and report.violation is not None:
         from .tournament import format_weighted_text
 
@@ -378,7 +340,6 @@ def _cmd_sparse(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="toursid", description=__doc__)
-    ap.add_argument("--threads", type=int, default=1, help="worker cap for fan-out stages")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, json_flag=True):
@@ -500,7 +461,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ToursidError as exc:
+    except (ToursidError, OSError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)},
             sort_keys=True, separators=(",", ":"),

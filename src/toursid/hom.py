@@ -5,11 +5,19 @@ vertex maps; the density divides by n^v(D).  Hosts may be unweighted
 tournaments (0/1, no loops), weighted tournaments, skew matrices, or raw
 square matrices; exactness follows the entry type.
 
-Specialized evaluators:
+Evaluators:
 
-* hom_path    -- 1^T M_1 ... M_e 1 with M_i in {A, A^T}, linear in e.
-* hom_cycle   -- trace of the oriented factor product.
-* hom_forest  -- tree DP for forest patterns, used by the refutation search.
+* contract    -- the kernel for every pattern and a whole stack of hosts at
+                 once: eliminates the pattern's vertices one by one, each step
+                 one einsum (the tree-decomposition method of Diaz, Serna and
+                 Thilikos, "Counting H-colorings of partial k-trees", TCS
+                 2002).  Object arrays of ints or Fractions keep it exact.
+* hom_count   -- contract on one host, as a HomCount; hom_cycle applies it
+                 to an oriented cycle.
+* hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T}; cheaper
+                 than the kernel on the optimizer's single small hosts.
+* hom_generic -- the brute-force sum over all n^v maps, kept as the
+                 independent oracle for certificates and tests.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
                  kernel; cycle densities normalize by n^length (the vertex
                  count), path densities by n^(edges+1).
@@ -20,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from string import ascii_letters
 
-from .core import Digraph, as_cycle, as_orientation
+import numpy as np
+
+from .core import Digraph, as_orientation, cycle_digraph
 from .errors import CapExceeded, TooShort
 from .tournament import SkewMatrix, Tournament, WeightedTournament
 
@@ -84,97 +95,69 @@ def hom_path(o, host) -> HomCount:
     return HomCount(sum(vec), n, o.v)
 
 
-def _mat_mul(a, b, n):
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+def contract(d: Digraph, a, open_arc=None):
+    """h_D of every host in a stack a[..., n, n]; returns shape (...).
+
+    Each arc is a factor on its two end vertices.  The vertex with the
+    fewest neighbours (then the lowest index) goes next: one einsum
+    multiplies the factors on it and sums its label out, leaving one factor
+    on its neighbours.  Factors on the same vertex set are merged as they
+    appear.  Each einsum names only the vertices of its own step, so long
+    patterns stay within einsum's 52 letters.
+
+    With open_arc=(u, w) that arc is left out and u, w stay as two trailing
+    axes: entry [..., i, j] sums the other arcs' product over the maps with
+    u -> i and w -> j, which is that arc's share of dh/dA(i, j).
+    """
+    n = a.shape[-1]
+    keep = tuple(open_arc) if open_arc is not None else ()
+    factors: dict[tuple[int, ...], np.ndarray] = {}
+
+    def add(labels, t):
+        factors[labels] = factors[labels] * t if labels in factors else t
+
+    for u, w in d.arcs:
+        if (u, w) == open_arc:
+            continue
+        if u < w:
+            add((u, w), a)
+        else:
+            add((w, u), np.swapaxes(a, -1, -2))
+    for x in set(range(d.v)) - _vertices(factors):
+        add((x,), np.ones(n, dtype=a.dtype))
+    todo = set(range(d.v)) - set(keep)
+    while todo:
+        x = min(todo, key=lambda y: (len(_vertices(k for k in factors if y in k)), y))
+        todo.remove(x)
+        on_x = {k: factors.pop(k) for k in list(factors) if x in k}
+        rest = tuple(sorted(_vertices(on_x) - {x}))
+        add(rest, _einsum(on_x, rest))
+    out = np.asarray(_einsum(factors, keep), dtype=a.dtype)
+    return np.broadcast_to(out, a.shape[:-2] + (n,) * len(keep))
+
+
+def _vertices(labels) -> set[int]:
+    return {x for k in labels for x in k}
+
+
+def _einsum(factors: dict, out: tuple[int, ...]):
+    """One einsum over the factors, with letters local to this step."""
+    letter = {x: ascii_letters[i] for i, x in enumerate(sorted(_vertices(factors)))}
+    spec = ",".join("..." + "".join(letter[x] for x in k) for k in factors)
+    return np.einsum(spec + "->..." + "".join(letter[x] for x in out), *factors.values())
+
+
+def hom_count(d: Digraph, host) -> HomCount:
+    """h_D on one host through the kernel; exact when every entry is."""
+    n, rows = host_entries(host)
+    exact = all(isinstance(x, (Fraction, int)) for row in rows for x in row)
+    a = np.array(rows, dtype=object if exact else float)
+    return HomCount(contract(d, a).item(), n, d.v)
 
 
 def hom_cycle(c, host) -> HomCount:
-    """Trace of the oriented product of A / A^T factors around the cycle."""
-    c = as_cycle(c)
-    n, a = host_entries(host)
-    at = [[a[j][i] for j in range(n)] for i in range(n)]
-    m = None
-    for d in c.orientation.dirs:
-        f = a if d > 0 else at
-        m = f if m is None else _mat_mul(m, f, n)
-    return HomCount(sum(m[i][i] for i in range(n)), n, c.length)
-
-
-def _components(d: Digraph) -> list[list[int]]:
-    adj = [[] for _ in range(d.v)]
-    for u, w in d.arcs:
-        adj[u].append(w)
-        adj[w].append(u)
-    seen = [False] * d.v
-    comps = []
-    for s in range(d.v):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
-
-
-def is_forest(d: Digraph) -> bool:
-    return all(
-        sum(1 for u, w in d.arcs if u in c or w in c) == len(c) - 1
-        for c in (set(comp) for comp in _components(d))
-    )
-
-
-def hom_forest(d: Digraph, host) -> HomCount:
-    """Tree-DP evaluation of hom for forest patterns; O(v * n^2)."""
-    if not is_forest(d):
-        raise ValueError("pattern is not a forest")
-    n, a = host_entries(host)
-    nbrs: list[list[int]] = [[] for _ in range(d.v)]
-    for u, w in d.arcs:
-        nbrs[u].append(w)
-        nbrs[w].append(u)
-    total = 1
-    for comp in _components(d):
-        root = min(comp)
-        # iterative post-order message passing
-        order = []
-        parent = {root: None}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in nbrs[x]:
-                if y not in parent:
-                    parent[y] = x
-                    stack.append(y)
-        msg: dict[int, list] = {}
-        for x in reversed(order):
-            vec = [1] * n
-            for y in nbrs[x]:
-                if parent.get(y) != x:
-                    continue
-                child = msg[y]
-                if (x, y) in d.arcs:
-                    vec = [vec[i] * sum(a[i][j] * child[j] for j in range(n)) for i in range(n)]
-                else:
-                    vec = [vec[i] * sum(a[j][i] * child[j] for j in range(n)) for i in range(n)]
-            msg[x] = vec
-        total = total * sum(msg[root])
-    return HomCount(total, n, d.v)
-
-
-def hom_auto(d: Digraph, host) -> HomCount:
-    """Pick the fastest exact evaluator that applies."""
-    if is_forest(d):
-        return hom_forest(d, host)
-    return hom_generic(d, host)
+    """h of an oriented cycle, through the kernel."""
+    return hom_count(cycle_digraph(c), host)
 
 
 def s_moment(b: SkewMatrix, power: int):
@@ -211,14 +194,6 @@ def t_kernel_cycle(b: SkewMatrix, length: int):
     """Signed density tr(B^length) / n^length; exactly 0 for odd length."""
     if length < 3:
         raise TooShort("cycle length must be >= 3")
-    zero = Fraction(0) if b.is_exact else 0.0
     if length % 2 == 1:
-        return zero
-    n = b.n
-    m = [row[:] for row in b.rows()]
-    for _ in range(length - 1):
-        m = _mat_mul(m, b.rows(), n)
-    tr = sum(m[i][i] for i in range(n))
-    if b.is_exact:
-        return Fraction(tr, n**length)
-    return tr / float(n) ** length
+        return Fraction(0) if b.is_exact else 0.0
+    return hom_cycle(">" * length, b).density

@@ -16,15 +16,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .construct import Certificate, CertDirection, named_kernel, certificate as known_certificate
 from .core import Digraph, Orientation, as_orientation, path_digraph
-from .errors import CapExceeded, InternalAssertionFailed, InvalidHost
-from .hom import hom_auto, hom_generic, hom_path, is_forest
+from .errors import CapExceeded, InternalAssertionFailed, InvalidHost, PreconditionViolated
+from .hom import contract, hom_count, hom_generic, hom_path
 from .tournament import (
+    Tournament,
     WeightedTournament,
     _freeze,
-    enumerate_tournaments,
     skew_decompose,
+    tournament_stack,
     transitive,
     with_half_loops,
 )
@@ -71,7 +74,7 @@ def _pattern_meta(pattern) -> tuple[object, str, int, int]:
 def _exact_count(pattern, host) -> Fraction:
     if isinstance(pattern, Orientation):
         return Fraction(hom_path(pattern, host).raw)
-    return Fraction(hom_auto(pattern, host).raw)
+    return Fraction(hom_count(pattern, host).raw)
 
 
 def _independent_recheck(pattern, host, claimed: Fraction) -> None:
@@ -174,25 +177,13 @@ def _path_gradient(o: Orientation, a: list[list[float]], n: int) -> list[list[fl
     return grad
 
 
-def _generic_gradient(d: Digraph, a: list[list[float]], n: int) -> list[list[float]]:
-    """Exact partial derivatives by pinning one arc at a time (brute force)."""
-    from itertools import product as iproduct
-
-    arcs = sorted(d.arcs)
-    dA = [[0.0] * n for _ in range(n)]
-    for phi in iproduct(range(n), repeat=d.v):
-        weights = [a[phi[u]][phi[w]] for u, w in arcs]
-        for k, (u, w) in enumerate(arcs):
-            p = 1.0
-            for kk, wt in enumerate(weights):
-                if kk != k:
-                    p *= wt
-            dA[phi[u]][phi[w]] += p
-    grad = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            grad[i][j] = dA[i][j] - dA[j][i]
-    return grad
+def _digraph_gradient(d: Digraph, a: list[list[float]], n: int) -> list[list[float]]:
+    """d h / d b_ij (upper triangle): the kernel with each arc left open in turn."""
+    arr = np.array(a)
+    dA = np.zeros((n, n))
+    for arc in d.arcs:
+        dA += contract(d, arr, open_arc=arc)
+    return np.triu(dA - dA.T, 1).tolist()
 
 
 def _host_from_b(bvals: list[list[float]], n: int) -> list[list[float]]:
@@ -207,7 +198,7 @@ def _host_from_b(bvals: list[list[float]], n: int) -> list[list[float]]:
 def _objective_value(pattern, a: list[list[float]], n: int) -> float:
     if isinstance(pattern, Orientation):
         return float(hom_path(pattern, a).raw)
-    return float(hom_auto(pattern, a).raw)
+    return float(contract(pattern, np.array(a)))
 
 
 def _warm_starts(n: int) -> list[list[list[float]]]:
@@ -270,7 +261,7 @@ def optimize_density(
             if isinstance(obj, Orientation):
                 grad = _path_gradient(obj, a, n)
             else:
-                grad = _generic_gradient(obj, a, n)
+                grad = _digraph_gradient(obj, a, n)
             gmax = max((abs(grad[i][j]) for i in range(n) for j in range(i + 1, n)), default=0.0)
             if gmax <= grad_tol:
                 break
@@ -302,25 +293,6 @@ def optimize_density(
                           tuple(trajectories))
 
 
-def _scan_hosts(obj, mode, hosts, threshold, use_fast_forest):
-    """Scan a host chunk; returns (index of first violation or None, min gap)."""
-    margin_min = None
-    hit = None
-    for idx, host in hosts:
-        if isinstance(obj, Orientation):
-            value = Fraction(hom_path(obj, host).raw)
-        elif use_fast_forest:
-            value = Fraction(hom_auto(obj, host).raw)
-        else:
-            value = Fraction(hom_generic(obj, host).raw)
-        gap = abs(value - threshold)
-        if margin_min is None or gap < margin_min:
-            margin_min = gap
-        if hit is None and _violates(mode, value, threshold):
-            hit = (idx, host, value)
-    return hit, margin_min
-
-
 def refute(
     pattern,
     mode: str,
@@ -328,48 +300,38 @@ def refute(
     budget: int = 0,
     seed: int = 0,
     optimizer_n: int | None = None,
-    threads: int = 1,
 ) -> RefutationReport:
     """Exhaustive small-host scan, then (budget permitting) optimizer probes.
 
-    budget counts optimizer restarts; 0 skips stage 2.  The first exact
-    strict violation short-circuits; with threads > 1 the scan fans out in
-    chunks and the lowest-index violation wins, so reports are reproducible.
+    For n = 1..n_max in turn, one kernel call counts the pattern in every
+    half-loop tournament host at once.  It runs on the integer matrices 2A,
+    so it yields 2^e h exactly, to be compared with n^v.  At the first n
+    with a strict violation, the lowest-index violating host is rebuilt and
+    rechecked on hom_generic before it becomes the certificate.  margin_min
+    is the least |h - n^v/2^e| over every host scanned.  budget counts
+    optimizer restarts; 0 skips stage 2.
     """
     if mode not in (MODE_TAS, MODE_TS):
         raise ValueError("mode must be 'TAS' or 'TS'")
+    if n_max < 1:
+        raise PreconditionViolated("the exhaustive stage needs n_max >= 1")
     if n_max > EXHAUSTIVE_CAP:
         raise CapExceeded(f"exhaustive stage capped at n <= {EXHAUSTIVE_CAP}")
     obj, text, v, e = _pattern_meta(pattern)
-    use_fast_forest = isinstance(obj, Digraph) and is_forest(obj)
+    d = path_digraph(obj) if isinstance(obj, Orientation) else obj
     margin_min: Fraction | None = None
     samples = 0
     for n in range(1, n_max + 1):
-        threshold = Fraction(n**v, 2**e)
-        hosts = [(i, with_half_loops(t)) for i, t in enumerate(enumerate_tournaments(n))]
-        samples += len(hosts)
-        if threads > 1 and len(hosts) >= 64:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunk = (len(hosts) + threads - 1) // threads
-            parts = [hosts[i : i + chunk] for i in range(0, len(hosts), chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda p: _scan_hosts(obj, mode, p, threshold, use_fast_forest),
-                        parts,
-                    )
-                )
-        else:
-            results = [_scan_hosts(obj, mode, hosts, threshold, use_fast_forest)]
-        hit = None
-        for part_hit, part_margin in results:
-            if part_margin is not None and (margin_min is None or part_margin < margin_min):
-                margin_min = part_margin
-            if part_hit is not None and (hit is None or part_hit[0] < hit[0]):
-                hit = part_hit
-        if hit is not None:
-            _, host, value = hit
+        adj = tournament_stack(n)
+        counts = contract(d, (2 * adj + np.eye(n, dtype=adj.dtype)).astype(object))
+        target = n**v
+        samples += len(adj)
+        margin = Fraction(np.abs(counts - target).min(), 2**e)
+        margin_min = margin if margin_min is None else min(margin_min, margin)
+        hits = np.flatnonzero(_violates(mode, counts, target))
+        if hits.size:
+            host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
+            value = Fraction(counts[hits[0]], 2**e)
             _independent_recheck(obj, host, value)
             direction = (
                 CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
@@ -378,7 +340,7 @@ def refute(
                 host,
                 obj if isinstance(obj, Orientation) else None,
                 direction,
-                threshold,
+                Fraction(target, 2**e),
                 value,
             )
             return RefutationReport(text, mode, n, samples, cert, margin_min)

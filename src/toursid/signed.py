@@ -106,7 +106,7 @@ def cycle_counts(c) -> SignedCounts:
     return SignedCounts(c_p3, c_p5, c_2p3, min_k, c_min_k)
 
 
-def _pattern_components(q: Digraph) -> list[list[int]]:
+def _pattern_paths(q: Digraph) -> list[list[int]]:
     """Each component as a vertex sequence along its path; reject non-paths."""
     adj: list[list[int]] = [[] for _ in range(q.v)]
     for u, w in q.arcs:
@@ -189,7 +189,7 @@ def signed_count(q: Digraph, d: Digraph) -> int:
     """
     if d.e > SIGNED_HOST_EDGE_CAP:
         raise CapExceeded(f"host has {d.e} > {SIGNED_HOST_EDGE_CAP} edges")
-    comps = _pattern_components(q)
+    comps = _pattern_paths(q)
     profiles = []
     for seq in comps:
         if len(seq) == 1:

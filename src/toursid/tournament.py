@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CapExceeded, MissingHalfLoops, RangeViolated, SizeMismatch
 
 ENUMERATION_CAP = 7
@@ -146,20 +148,28 @@ def skew(rows) -> SkewMatrix:
     return SkewMatrix(len(rows), rows)
 
 
-def enumerate_tournaments(n: int) -> Iterator[Tournament]:
-    """All 2^(n(n-1)/2) tournaments, in lexicographic upper-triangle bit order."""
+def tournament_stack(n: int) -> np.ndarray:
+    """All 2^(n(n-1)/2) tournaments as 0/1 adjacency matrices, shape (count, n, n).
+
+    Host k has arc i -> j (i < j) when the bit of pair (i, j) in k is set,
+    the pairs taken in row-major upper-triangle order from the most
+    significant bit down: lexicographic upper-triangle bit order.
+    """
     if not (1 <= n <= ENUMERATION_CAP):
         raise CapExceeded(f"enumeration capped at n <= {ENUMERATION_CAP}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    npairs = len(pairs)
-    for mask in range(1 << npairs):
-        adj = [[0] * n for _ in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if (mask >> (npairs - 1 - k)) & 1:
-                adj[i][j] = 1
-            else:
-                adj[j][i] = 1
-        yield Tournament(n, _freeze(adj))
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    adj = np.zeros((len(masks), n, n), dtype=np.uint8)
+    for k, (i, j) in enumerate(pairs):
+        adj[:, i, j] = (masks >> (len(pairs) - 1 - k)) & 1
+        adj[:, j, i] = 1 - adj[:, i, j]
+    return adj
+
+
+def enumerate_tournaments(n: int) -> Iterator[Tournament]:
+    """All tournaments on n vertices, in the order of tournament_stack."""
+    for adj in tournament_stack(n):
+        yield Tournament(n, _freeze(adj.tolist()))
 
 
 def tournament_count(n: int) -> int:

@@ -40,6 +40,30 @@ def test_domain_error_exit_code(capsys):
     assert payload["error"] == "PreconditionViolated"
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_verify_rejects_an_empty_scan(max_n, capsys):
+    code, out, err = run_cli(capsys, "verify", "--mode", "tas", "--pattern", ">><<",
+                             "--max-n", max_n, "--json")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "PreconditionViolated"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "tas", "--pattern-file", "{tmp}/missing.dg"],
+    ["hom", "--pattern-path", "><", "--host-file", "{tmp}/missing.txt"],
+    ["hom", "--pattern-file", "{tmp}/missing.dg", "--host-file", "{tmp}/host.txt"],
+], ids=["verify-pattern-file", "hom-host-file", "hom-pattern-file"])
+def test_missing_file_is_a_structured_error(argv, tmp_path, capsys):
+    (tmp_path / "host.txt").write_text("tournament n=3\n011\n001\n000\n")
+    code, out, err = run_cli(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "FileNotFoundError"
+    assert "missing" in payload["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -75,16 +99,6 @@ def test_verify_byte_determinism(capsys):
     args = ["verify", "--mode", "ts", "--pattern", "><", "--max-n", "3", "--json"]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
-
-
-def test_verify_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TOURSID_CACHE_DIR", str(tmp_path))
-    args = ["verify", "--mode", "tas", "--pattern", ">>", "--max-n", "3", "--json"]
-    _, out1, _ = run_cli(capsys, *args)
-    cache_files = list(tmp_path.iterdir())
-    assert len(cache_files) == 1
-    _, out2, _ = run_cli(capsys, *args)  # served from cache
     assert out1 == out2
 
 
@@ -213,14 +227,6 @@ def test_sparse(capsys):
     assert payload["e"] == 36
 
 
-def test_threads_flag_verify(capsys):
-    serial = run_cli(capsys, "verify", "--mode", "tas", "--pattern", ">><<",
-                     "--max-n", "4", "--json")
-    threaded = run_cli(capsys, "--threads", "4", "verify", "--mode", "tas",
-                       "--pattern", ">><<", "--max-n", "4", "--json")
-    assert serial[1] == threaded[1]
-
-
 DETERMINISM_SWEEP = [
     ["classify-path", ">>>>><><>", "--json"],
     ["classify-cycle", ">>>>>", "--json"],
@@ -286,3 +292,74 @@ def test_verify_writes_certificate_files(tmp_path, capsys):
     assert (tmp_path / "viol.wt").exists()
     sidecar = json.loads((tmp_path / "viol.json").read_text())
     assert sidecar["direction"] == "ViolatesTAS"
+
+
+# Exact stdout recorded before the evaluators were merged into one kernel;
+# any change to an exhaustive scan or an exact count shows up here.
+GOLDEN_FILES = {
+    "square.dg": "digraph v=4\n0 1\n1 2\n2 3\n0 3\n",
+    "cycle5.dg": "digraph v=5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+    "tree6.dg": "digraph v=6\n0 1\n2 1\n1 3\n3 4\n5 3\n",
+    "host.wt": "wtournament n=3\n1/2 99/100 0\n1/100 1/2 1\n1 0 1/2\n",
+}
+
+GOLDEN_SCANS = [
+    (["verify", "--mode", "tas", "--pattern", ">><<", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":">><<","samples":75,'
+     '"violation":null}\n'),
+    (["verify", "--mode", "tas", "--pattern", "><>>><", "--max-n", "3"],
+     'pattern ><>>>< mode TAS: violation found\n{"direction": "ViolatesTAS", '
+     '"pattern": "><>>><", "threshold": "2/1", "value": "71/32"}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "square.dg", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":"digraph(v=4,e=4)",'
+     '"samples":75,"violation":null}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "square.dg", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TS","n_checked":2,"pattern":"digraph(v=4,e=4)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"1/1","value":"7/8"}}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "cycle5.dg", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":"digraph(v=5,e=5)",'
+     '"samples":75,"violation":null}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "cycle5.dg", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TS","n_checked":2,"pattern":"digraph(v=5,e=5)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"1/1","value":"1/16"}}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "tree6.dg", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":"digraph(v=6,e=5)",'
+     '"samples":75,"violation":null}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "tree6.dg", "--max-n", "4", "--json"],
+     '{"margin_min":"0/1","mode":"TS","n_checked":2,"pattern":"digraph(v=6,e=5)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"2/1","value":"9/8"}}\n'),
+    (["hom", "--pattern-cycle", ">><", "--host-file", "host.wt", "--json"],
+     '{"h":"33751/10000","pattern":"cycle >><","t":"33751/270000"}\n'),
+    (["hom", "--pattern-cycle", ">>>>>", "--host-file", "host.wt"],
+     "h = 151859901/20000000\nt = 50619967/1620000000\n"),
+    (["hom", "--pattern-file", "square.dg", "--host-file", "host.wt", "--json"],
+     '{"h":"198350199/50000000","pattern":"digraph v=4","t":"22038911/450000000"}\n'),
+    (["hom", "--pattern-file", "tree6.dg", "--host-file", "host.wt", "--json"],
+     '{"h":"284748713/12500000","pattern":"digraph v=6","t":"284748713/9112500000"}\n'),
+    (["hom", "--pattern-file", "cycle5.dg", "--host-file", "host.wt", "--json"],
+     '{"h":"151859901/20000000","pattern":"digraph v=5","t":"50619967/1620000000"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_SCANS, ids=lambda a: " ".join(a)
+                         if isinstance(a, list) else None)
+def test_golden_scans_and_counts(argv, expected, tmp_path, capsys):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_golden_refuted_path_certificate_files(tmp_path, capsys):
+    prefix = str(tmp_path / "viol")
+    out = run_cli(capsys, "verify", "--mode", "tas", "--pattern", "><>>><",
+                  "--max-n", "3", "--json", "--out", prefix)
+    assert out == (0, '{"margin_min":"0/1","mode":"TAS","n_checked":2,"pattern":"><>>><",'
+                      '"samples":3,"violation":{"direction":"ViolatesTAS","pattern":"><>>><",'
+                      '"threshold":"2/1","value":"71/32"}}\n', "")
+    assert (tmp_path / "viol.wt").read_text() == "wtournament n=2\n1/2 0/1\n1/1 1/2\n"
+    assert (tmp_path / "viol.json").read_text() == (
+        '{"direction":"ViolatesTAS","pattern":"><>>><","threshold":"2/1","value":"71/32"}\n')

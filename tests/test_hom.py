@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from toursid.core import (
@@ -15,8 +16,9 @@ from toursid.core import (
 from toursid.construct import named_kernel
 from toursid.errors import CapExceeded
 from toursid.hom import (
+    contract,
+    hom_count,
     hom_cycle,
-    hom_forest,
     hom_generic,
     hom_path,
     t_kernel_cycle,
@@ -27,6 +29,7 @@ from toursid.tournament import (
     random_tournament,
     skew,
     skew_decompose,
+    tournament_stack,
     transitive,
     with_half_loops,
 )
@@ -104,10 +107,10 @@ def test_hom_cycle_c3_cyclic_triangle():
     assert hom_cycle(">>>", cyc).raw == 3  # three rotations of the one cyclic map
 
 
-def test_hom_forest_matches_generic():
+def test_contract_forest_matches_generic():
     t = with_half_loops(random_tournament(4, seed=6))
     patt = digraph(6, [(0, 1), (1, 2), (1, 3), (4, 5)])
-    assert hom_forest(patt, t).raw == hom_generic(patt, t).raw
+    assert hom_count(patt, t).raw == hom_generic(patt, t).raw
 
 
 def test_t_kernel_path_b1():
@@ -179,22 +182,27 @@ def test_2p3_equals_p3_squared_generic():
     assert hom_generic(two_p3, b).density == hom_generic(p3, b).density ** 2
 
 
+def half_loop_stack(n):
+    """Every half-loop host on n vertices as one exact (Fraction) stack."""
+    return np.array([with_half_loops(t).rows() for t in enumerate_tournaments(n)], dtype=object)
+
+
 def test_path_evaluators_agree_e6_n4():
-    # hom_path (factor products) vs hom_forest (tree DP) are independent
+    # hom_path (factor products) vs the contraction kernel are independent
     # exact routes; exhaustive agreement for e <= 6 over every host n <= 4,
     # with the brute-force map sum as a third route at n <= 3
-    hosts_small = [with_half_loops(t) for n in (1, 2, 3) for t in enumerate_tournaments(n)]
+    hosts_small = [[with_half_loops(t) for t in enumerate_tournaments(n)] for n in (1, 2, 3)]
     hosts_four = [with_half_loops(t) for t in enumerate_tournaments(4)]
+    stacks = {n: half_loop_stack(n) for n in (1, 2, 3, 4)}
     for e in range(1, 7):
         for dirs in product((1, -1), repeat=e):
             o = Orientation(dirs)
             d = path_digraph(o)
-            for host in hosts_small:
-                v1 = hom_path(o, host).raw
-                assert v1 == hom_forest(d, host).raw
-                assert v1 == hom_generic(d, host).raw
-            for host in hosts_four:
-                assert hom_path(o, host).raw == hom_forest(d, host).raw
+            for n, hosts in enumerate(hosts_small, start=1):
+                expected = [hom_generic(d, host).raw for host in hosts]
+                assert [hom_path(o, host).raw for host in hosts] == expected
+                assert list(contract(d, stacks[n])) == expected
+            assert list(contract(d, stacks[4])) == [hom_path(o, h).raw for h in hosts_four]
 
 
 def test_cycle_evaluator_agrees_with_bruteforce():
@@ -205,3 +213,78 @@ def test_cycle_evaluator_agrees_with_bruteforce():
             d = cycle_digraph(o)
             for host in hosts:
                 assert hom_cycle(o, host).raw == hom_generic(d, host).raw
+
+
+def test_contract_matches_generic_on_cycles_and_digraphs():
+    # every cycle with length <= 5, a forest with an isolated vertex, the
+    # arc-free digraph (h = n^v) and the square, on every host n <= 3
+    patterns = [cycle_digraph(Orientation(dirs))
+                for ell in (3, 4, 5) for dirs in product((1, -1), repeat=ell)]
+    patterns += [
+        digraph(5, [(1, 0), (1, 2), (3, 1)]),
+        digraph(3, []),
+        digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    ]
+    for n in (1, 2, 3):
+        stack = half_loop_stack(n)
+        hosts = [with_half_loops(t) for t in enumerate_tournaments(n)]
+        for d in patterns:
+            assert list(contract(d, stack)) == [hom_generic(d, h).raw for h in hosts]
+        assert list(contract(digraph(3, []), stack)) == [n**3] * len(hosts)
+
+
+def test_contract_exact_types_and_float_stack():
+    # unweighted ints stay ints, Fractions stay exact, floats agree closely
+    d = digraph(4, [(0, 1), (2, 1), (1, 3)])
+    ints = tournament_stack(4).astype(object)
+    counts = contract(d, ints)
+    assert all(type(c) is int for c in counts)
+    assert list(counts) == [hom_generic(d, t).raw for t in enumerate_tournaments(4)]
+    exact = half_loop_stack(3)
+    floats = contract(d, exact.astype(float))
+    assert np.allclose(floats, contract(d, exact).astype(float), rtol=1e-12, atol=0)
+
+
+def test_contract_long_path_past_einsum_letters():
+    # 61 pattern vertices: one subscript string would need more than 52 letters
+    o = Orientation(tuple((1, 1, -1) * 20))
+    d = path_digraph(o)
+    stack = half_loop_stack(3)
+    hosts = [with_half_loops(t) for t in enumerate_tournaments(3)]
+    assert list(contract(d, stack)) == [hom_path(o, h).raw for h in hosts]
+
+
+def test_contract_wide_star_merges_its_leaf_factors():
+    # 70 leaves on one centre: h = sum_i (row sum i)^70; merged factors keep
+    # the centre's einsum within numpy's operand limit
+    d = digraph(71, [(0, i) for i in range(1, 71)])
+    hosts = [with_half_loops(t) for t in enumerate_tournaments(3)]
+    assert list(contract(d, half_loop_stack(3))) == [
+        sum(sum(row) ** 70 for row in h.rows()) for h in hosts]
+
+
+def test_contract_open_arcs_give_the_gradient():
+    # summing the open-arc tensors over all arcs gives dh/dA(i, j), checked
+    # against a brute-force sum over maps: drop one arc, pin its end labels
+    d = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 0)])
+    host = with_half_loops(random_tournament(3, seed=4))
+    n, a = 3, host.rows()
+    brute = [[0] * n for _ in range(n)]
+    arcs = sorted(d.arcs)
+    for phi in product(range(n), repeat=d.v):
+        for k, (u, w) in enumerate(arcs):
+            p = 1
+            for kk, (x, y) in enumerate(arcs):
+                if kk != k:
+                    p *= a[phi[x]][phi[y]]
+            brute[phi[u]][phi[w]] += p
+    stack = np.array(a, dtype=object)
+    grad = sum(contract(d, stack, open_arc=arc) for arc in arcs)
+    assert grad.tolist() == brute
+
+
+def test_hom_count_matches_oracle_on_weighted_and_skew_hosts():
+    b = skew_decompose(with_half_loops(random_tournament(4, seed=3)))
+    d = digraph(5, [(0, 1), (1, 2), (2, 0), (3, 2), (3, 4)])
+    assert hom_count(d, b).raw == hom_generic(d, b).raw
+    assert hom_count(d, b.to_float()).raw == pytest.approx(float(hom_generic(d, b).raw))

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from toursid.construct import CertDirection, certificate
-from toursid.core import digraph
-from toursid.errors import CapExceeded, InvalidHost
+from toursid.core import Orientation, cycle_digraph, digraph, path_digraph
+from toursid.errors import CapExceeded, InvalidHost, PreconditionViolated
+from toursid.hom import hom_generic
 from toursid.search import (
     MODE_TAS,
     MODE_TS,
@@ -13,7 +14,7 @@ from toursid.search import (
     rationalize_host,
     refute,
 )
-from toursid.tournament import WeightedTournament, _freeze
+from toursid.tournament import WeightedTournament, _freeze, enumerate_tournaments, with_half_loops
 
 F = Fraction
 
@@ -48,7 +49,7 @@ def test_refute_cap():
 
 
 def test_refute_tree_pattern():
-    # the oriented 1-2-3 tree; forest evaluator path
+    # the oriented 1-2-3 tree, through the contraction kernel
     arcs = [(0, 1), (1, 2), (2, 6), (3, 2), (4, 3), (5, 4)]
     d = digraph(7, arcs)
     rep = refute(d, MODE_TAS, n_max=3)
@@ -120,21 +121,53 @@ def test_reports_serialize():
 
 
 def test_optimizer_accepted_steps_are_monotone():
-    res = optimize_density("><>>><", n=3, objective="maximize", restarts=3, seed=5)
-    for traj in res.trajectories:
-        assert all(b >= a - 1e-12 for a, b in zip(traj, traj[1:]))
-    res2 = optimize_density("><>>><", n=3, objective="minimize", restarts=3, seed=5)
-    for traj in res2.trajectories:
-        assert all(b <= a + 1e-12 for a, b in zip(traj, traj[1:]))
+    for pattern in ("><>>><", digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])):
+        res = optimize_density(pattern, n=3, objective="maximize", restarts=3, seed=5)
+        for traj in res.trajectories:
+            assert all(b >= a - 1e-12 for a, b in zip(traj, traj[1:]))
+        res2 = optimize_density(pattern, n=3, objective="minimize", restarts=3, seed=5)
+        for traj in res2.trajectories:
+            assert all(b <= a + 1e-12 for a, b in zip(traj, traj[1:]))
 
 
-def test_refute_threaded_matches_serial():
-    for mode in (MODE_TAS, MODE_TS):
-        serial = refute(">><>", mode, n_max=4)
-        threaded = refute(">><>", mode, n_max=4, threads=4)
-        assert serial.to_json_dict() == threaded.to_json_dict()
-    # violation case: deterministic lowest-index winner
-    a = refute("><>>><", MODE_TAS, n_max=3)
-    b = refute("><>>><", MODE_TAS, n_max=3, threads=4)
-    assert a.violation.host == b.violation.host
-    assert a.violation.value == b.violation.value
+def _refute_by_host_loop(pattern, mode, n_max):
+    """refute's exhaustive stage, one host at a time on the brute-force oracle."""
+    d = path_digraph(pattern) if isinstance(pattern, str) else pattern
+    margin, samples = None, 0
+    for n in range(1, n_max + 1):
+        threshold = F(n**d.v, 2**d.e)
+        hit = None
+        for t in enumerate_tournaments(n):
+            host = with_half_loops(t)
+            value = F(hom_generic(d, host).raw)
+            samples += 1
+            gap = abs(value - threshold)
+            margin = gap if margin is None else min(margin, gap)
+            violated = value > threshold if mode == MODE_TAS else value < threshold
+            if hit is None and violated:
+                hit = (host, value)
+        if hit is not None:
+            return n, samples, margin, hit
+    return n_max, samples, margin, None
+
+
+def test_refute_batched_matches_per_host_loop():
+    square = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cases = [(">><>", MODE_TAS), (">><>", MODE_TS), ("><>>><", MODE_TAS),
+             ("><", MODE_TS), (">><<", MODE_TAS), (square, MODE_TAS), (square, MODE_TS),
+             (cycle_digraph(Orientation((1, 1, -1, 1, -1))), MODE_TS),
+             (digraph(5, [(0, 1), (2, 1), (1, 3), (3, 4)]), MODE_TAS)]
+    for pattern, mode in cases:
+        rep = refute(pattern, mode, n_max=4)
+        n, samples, margin, hit = _refute_by_host_loop(pattern, mode, 4)
+        assert (rep.n_checked, rep.samples, rep.margin_min) == (n, samples, margin)
+        if hit is None:
+            assert rep.violation is None
+        else:
+            assert (rep.violation.host, rep.violation.value) == hit
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_refute_rejects_an_empty_scan(n_max):
+    with pytest.raises(PreconditionViolated):
+        refute(">><<", MODE_TAS, n_max=n_max)

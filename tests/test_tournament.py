@@ -21,6 +21,7 @@ from toursid.tournament import (
     skew,
     skew_decompose,
     tournament_count,
+    tournament_stack,
     transitive,
     with_half_loops,
 )
@@ -51,6 +52,21 @@ def test_enumerate_cyclic_triangles():
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         next(enumerate_tournaments(8))
+    with pytest.raises(CapExceeded):
+        tournament_stack(0)
+
+
+def test_stack_order_is_upper_triangle_bits():
+    # pairs (0,1), (0,2), (1,2) from the most significant bit down; a set
+    # bit orients the pair forward
+    stack = tournament_stack(3)
+    assert stack.shape == (8, 3, 3)
+    for k, adj in enumerate(stack):
+        bits = [(k >> 2) & 1, (k >> 1) & 1, k & 1]
+        assert [adj[0][1], adj[0][2], adj[1][2]] == bits
+        assert (adj + adj.T).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert [t.adj for t in enumerate_tournaments(4)] == [
+        tuple(map(tuple, adj.tolist())) for adj in tournament_stack(4)]
 
 
 def test_random_tournament_deterministic():
