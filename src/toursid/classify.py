@@ -184,14 +184,7 @@ def classify_cycle(c, best_effort: bool = False) -> Classification:
                 if counts.c_p5 == 0 and counts.c_2p3 == 0 else "unknown:P5=-2P3")
         return Classification(Verdict.UNKNOWN, rule, preconditions_met=pre_ok, **base)
     verdict, tag = resolved
-    fam = "2P3-cycle" if tag.startswith("2p3") else "P5-2P3-cycle"
-    if verdict is Verdict.NEITHER:
-        case = tag.split("(")[1].rstrip(")")
-        return Classification(Verdict.NEITHER, f"{fam}:case({case})",
-                              preconditions_met=pre_ok, **base)
-    if _parity_allows(verdict, ell, t):
-        case = tag.split("(")[1].rstrip(")")
-        return Classification(verdict, f"{fam}:case({case})",
-                              preconditions_met=pre_ok, **base)
-    return Classification(Verdict.NEITHER, f"{fam}:cycle-parity",
-                          preconditions_met=pre_ok, **base)
+    rule = _rule_name(tag, cycle=True)
+    if verdict is not Verdict.NEITHER and not _parity_allows(verdict, ell, t):
+        verdict, rule = Verdict.NEITHER, rule.split(":")[0] + ":cycle-parity"
+    return Classification(verdict, rule, preconditions_met=pre_ok, **base)

@@ -81,16 +81,12 @@ def _cmd_counts(args) -> int:
 
 
 def _load_host(args):
-    text = _read_file(args.host_file)
-    header = text.splitlines()[0] if text.splitlines() else ""
-    if header.startswith("tournament"):
-        from .tournament import parse_tournament_text, with_half_loops
+    from .tournament import Tournament, _parse_host, with_half_loops
 
-        t = parse_tournament_text(text)
-        return with_half_loops(t) if not args.no_loops else t
-    from .tournament import parse_weighted_text
-
-    return parse_weighted_text(text)
+    host = _parse_host(_read_file(args.host_file))
+    if isinstance(host, Tournament) and not args.no_loops:
+        return with_half_loops(host)
+    return host
 
 
 def _cmd_hom(args) -> int:
@@ -171,16 +167,21 @@ def _cmd_kernels(args) -> int:
     return 0
 
 
+def _write_certificate(prefix: str, cert) -> None:
+    """The certificate's host as prefix.wt and its sidecar as prefix.json."""
+    from .tournament import format_weighted_text
+
+    with open(prefix + ".wt", "w", encoding="utf-8") as fh:
+        fh.write(format_weighted_text(cert.host))
+    with open(prefix + ".json", "w", encoding="utf-8") as fh:
+        fh.write(construct.certificate_sidecar_json(cert))
+
+
 def _cmd_certificate(args) -> int:
     delta = Fraction(args.delta) if args.delta is not None else Fraction(1, 100)
     cert = construct.certificate(args.name, delta=delta)
     if args.out:
-        from .tournament import format_weighted_text
-
-        with open(args.out + ".wt", "w", encoding="utf-8") as fh:
-            fh.write(format_weighted_text(cert.host))
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(construct.certificate_sidecar_json(cert))
+        _write_certificate(args.out, cert)
     _emit_json(cert.to_json_dict())
     return 0
 
@@ -197,12 +198,7 @@ def _cmd_verify(args) -> int:
         pattern, mode, n_max=args.max_n, budget=args.budget, seed=args.seed or 0
     )
     if args.out and report.violation is not None:
-        from .tournament import format_weighted_text
-
-        with open(args.out + ".wt", "w", encoding="utf-8") as fh:
-            fh.write(format_weighted_text(report.violation.host))
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(construct.certificate_sidecar_json(report.violation))
+        _write_certificate(args.out, report.violation)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -342,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="toursid", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, json_flag=True):
-        if json_flag:
-            p.add_argument("--json", action="store_true")
+    def common(p):
+        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify-path")
     p.add_argument("orientation")

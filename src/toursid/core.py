@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (
     EmptyInput,
     InvalidCharacter,
+    InvalidInput,
     OddLength,
     TooShort,
 )
@@ -82,21 +83,6 @@ def as_orientation(o) -> Orientation:
 
 
 @dataclass(frozen=True)
-class OrientedPath:
-    """An oriented path on vertices 0..e with the given edge directions."""
-
-    orientation: Orientation
-
-    @property
-    def e(self) -> int:
-        return self.orientation.e
-
-    @property
-    def v(self) -> int:
-        return self.orientation.v
-
-
-@dataclass(frozen=True)
 class OrientedCycle:
     """An oriented cycle: edge i joins vertices i and i+1 (mod length).
 
@@ -141,14 +127,14 @@ class Digraph:
 
     def __post_init__(self):
         if self.v < 1:
-            raise ValueError("need at least one vertex")
+            raise InvalidInput("need at least one vertex")
         for u, w in self.arcs:
             if u == w:
-                raise ValueError(f"self-loop at {u}")
+                raise InvalidInput(f"self-loop at {u}")
             if not (0 <= u < self.v and 0 <= w < self.v):
-                raise ValueError(f"arc ({u},{w}) out of range")
+                raise InvalidInput(f"arc ({u},{w}) out of range")
             if (w, u) in self.arcs:
-                raise ValueError(f"digon between {u} and {w}")
+                raise InvalidInput(f"digon between {u} and {w}")
 
     @property
     def e(self) -> int:
@@ -226,28 +212,16 @@ class Tree:
 
     def __post_init__(self):
         if self.v < 1:
-            raise ValueError("need at least one vertex")
+            raise InvalidInput("need at least one vertex")
         if len(self.edges) != self.v - 1:
-            raise ValueError("a tree on v vertices has v-1 edges")
+            raise InvalidInput("a tree on v vertices has v-1 edges")
         for e in self.edges:
             if len(e) != 2:
-                raise ValueError("edges join two distinct vertices")
+                raise InvalidInput("edges join two distinct vertices")
             if any(not (0 <= x < self.v) for x in e):
-                raise ValueError("edge endpoint out of range")
-        if self.v > 1 and not self._connected():
-            raise ValueError("tree must be connected")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.v
+                raise InvalidInput("edge endpoint out of range")
+        if len(_component(self.adjacency(), 0)) != self.v:
+            raise InvalidInput("tree must be connected")
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.v)]
@@ -267,9 +241,60 @@ def tree(v: int, edges) -> Tree:
     return Tree(v, frozenset(frozenset(e) for e in edges))
 
 
+# --- graph walks ------------------------------------------------------------
+
+
+def _component(adj, start: int, banned: int | None = None) -> set[int]:
+    """The vertices reached from start along adj without entering banned."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y != banned and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _walk(adj, start: int) -> list[int]:
+    """The vertices met walking from start, an end of a path in adj, to its other end."""
+    seq = [start]
+    prev = None
+    while True:
+        nxts = [y for y in adj[seq[-1]] if y != prev]
+        if not nxts:
+            return seq
+        prev = seq[-1]
+        seq.append(nxts[0])
+
+
 # --- text formats -----------------------------------------------------------
 #
-# digraph v=<n> / tree v=<n> header, then one "u w" pair per line.
+# A "<kind> <key>=<size>" header line, then one row per nonblank line:
+# digraph v=<n> and tree v=<n> take one "u w" pair per line.
+
+
+def _read_text(text: str, rows: dict) -> tuple[str, int, list]:
+    """The header, the size and the rows of a text file.
+
+    rows maps each accepted "<kind> <key>" header to the parser of one line
+    after it.  A wrong header, a bad size or a line its parser rejects
+    raises InvalidInput.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = next((h for h in rows if lines and lines[0].startswith(h + "=")), None)
+    if head is None:
+        raise InvalidInput("expected " + " or ".join(f"'{h}=<n>'" for h in rows) + " header")
+    try:
+        return head, int(lines[0].split("=", 1)[1]), [rows[head](ln) for ln in lines[1:]]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad '{head}' file: {exc}") from None
+
+
+def _pair(line: str) -> tuple[int, int]:
+    u, w = line.split()
+    return int(u), int(w)
 
 
 def format_digraph_text(d: Digraph) -> str:
@@ -279,14 +304,7 @@ def format_digraph_text(d: Digraph) -> str:
 
 
 def parse_digraph_text(text: str) -> Digraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("digraph v="):
-        raise ValueError("expected 'digraph v=<n>' header")
-    v = int(lines[0].split("=", 1)[1])
-    arcs = []
-    for ln in lines[1:]:
-        u, w = ln.split()
-        arcs.append((int(u), int(w)))
+    _, v, arcs = _read_text(text, {"digraph v": _pair})
     return digraph(v, arcs)
 
 
@@ -297,12 +315,5 @@ def format_tree_text(t: Tree) -> str:
 
 
 def parse_tree_text(text: str) -> Tree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("tree v="):
-        raise ValueError("expected 'tree v=<n>' header")
-    v = int(lines[0].split("=", 1)[1])
-    edges = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        edges.append((int(a), int(b)))
+    _, v, edges = _read_text(text, {"tree v": _pair})
     return tree(v, edges)

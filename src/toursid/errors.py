@@ -14,6 +14,10 @@ class EmptyInput(ToursidError):
     pass
 
 
+class InvalidInput(ToursidError, ValueError):
+    """A malformed text file, or an object that breaks its own invariants."""
+
+
 class InvalidCharacter(ToursidError):
     def __init__(self, position: int, char: str):
         super().__init__(f"invalid orientation character {char!r} at position {position}")

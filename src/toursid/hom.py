@@ -16,6 +16,9 @@ Evaluators:
                  to an oriented cycle.
 * hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T}; cheaper
                  than the kernel on the optimizer's single small hosts.
+                 _chain returns its row vectors after each factor; the
+                 signed moments 1^T B^k 1 and the optimizer's path gradient
+                 read the same vectors.
 * hom_generic -- the brute-force sum over all n^v maps, kept as the
                  independent oracle for certificates and tests.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
@@ -82,17 +85,27 @@ def hom_generic(d: Digraph, host) -> HomCount:
     return HomCount(total, n, d.v)
 
 
+def _chain(a, n: int, dirs, one=1) -> list[list]:
+    """The row vectors 1^T M_1 ... M_k for k = 0..len(dirs), with 1 = (one, ..., one).
+
+    M_i is A when dirs[i-1] > 0 and A^T otherwise.  one=1.0 keeps a float
+    chain all float, which CPython multiplies faster than int * float.
+    """
+    vecs = [[one] * n]
+    for d in dirs:
+        vec = vecs[-1]
+        if d > 0:
+            vecs.append([sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)])
+        else:
+            vecs.append([sum(vec[i] * a[j][i] for i in range(n)) for j in range(n)])
+    return vecs
+
+
 def hom_path(o, host) -> HomCount:
     """1^T M_1 ... M_e 1 where M_i = A for forward edges and A^T for backward."""
     o = as_orientation(o)
     n, a = host_entries(host)
-    vec = [1] * n
-    for d in o.dirs:
-        if d > 0:
-            vec = [sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)]
-        else:
-            vec = [sum(vec[i] * a[j][i] for i in range(n)) for j in range(n)]
-    return HomCount(sum(vec), n, o.v)
+    return HomCount(sum(_chain(a, n, o.dirs)[-1]), n, o.v)
 
 
 def contract(d: Digraph, a, open_arc=None):
@@ -167,14 +180,7 @@ def s_moment(b: SkewMatrix, power: int):
 
 def s_moments_up_to(b: SkewMatrix, top: int) -> dict[int, object]:
     """All signed moments 1^T B^k 1 for 0 <= k <= top, one vector pass."""
-    n = b.n
-    a = b.entries
-    vec = [1] * n
-    out = {0: n}
-    for k in range(1, top + 1):
-        vec = [sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)]
-        out[k] = sum(vec)
-    return out
+    return {k: sum(vec) for k, vec in enumerate(_chain(b.entries, b.n, (1,) * top))}
 
 
 def t_kernel_path(b: SkewMatrix, edges: int):

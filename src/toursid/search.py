@@ -21,7 +21,7 @@ import numpy as np
 from .construct import Certificate, CertDirection, named_kernel, certificate as known_certificate
 from .core import Digraph, Orientation, as_orientation, path_digraph
 from .errors import CapExceeded, InternalAssertionFailed, InvalidHost, PreconditionViolated
-from .hom import contract, hom_count, hom_generic, hom_path
+from .hom import _chain, contract, hom_count, hom_generic, hom_path
 from .tournament import (
     Tournament,
     WeightedTournament,
@@ -135,22 +135,9 @@ class OptimizeResult:
 
 def _path_gradient(o: Orientation, a: list[list[float]], n: int) -> list[list[float]]:
     """d h / d b_ij (upper triangle) via prefix/suffix chain vectors."""
-    e = o.e
-    prefix = [[1.0] * n]
-    for d in o.dirs:
-        vec = prefix[-1]
-        if d > 0:
-            prefix.append([sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)])
-        else:
-            prefix.append([sum(vec[i] * a[j][i] for i in range(n)) for j in range(n)])
-    suffix = [[1.0] * n]
-    for d in reversed(o.dirs):
-        vec = suffix[-1]
-        if d > 0:
-            suffix.append([sum(a[i][j] * vec[j] for j in range(n)) for i in range(n)])
-        else:
-            suffix.append([sum(a[j][i] * vec[j] for j in range(n)) for i in range(n)])
-    suffix.reverse()
+    prefix = _chain(a, n, o.dirs, one=1.0)
+    # suffix[k] = M_(k+1) ... M_e 1: the chain of the same path read backwards
+    suffix = _chain(a, n, o.reversed_path().dirs, one=1.0)[::-1]
     # dh/dA(u,v) summed over factor occurrences, then combined for b_uv = -b_vu
     dA = [[0.0] * n for _ in range(n)]
     for k, d in enumerate(o.dirs):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Digraph, as_cycle, as_orientation
+from .core import Digraph, _component, _walk, as_cycle, as_orientation
 from .errors import CapExceeded, OddComponent
 
 SIGNED_HOST_EDGE_CAP = 40
@@ -112,21 +112,13 @@ def _pattern_paths(q: Digraph) -> list[list[int]]:
     for u, w in q.arcs:
         adj[u].append(w)
         adj[w].append(u)
-    seen = [False] * q.v
+    seen: set[int] = set()
     comps = []
     for s in range(q.v):
-        if seen[s]:
+        if s in seen:
             continue
-        comp = {s}
-        stack = [s]
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
+        comp = _component(adj, s)
+        seen |= comp
         if any(len(adj[x]) > 2 for x in comp):
             raise ValueError("pattern components must be paths")
         ends = [x for x in comp if len(adj[x]) <= 1]
@@ -135,17 +127,7 @@ def _pattern_paths(q: Digraph) -> list[list[int]]:
             continue
         if len(ends) != 2:
             raise ValueError("pattern components must be paths (cycle found)")
-        start = min(ends)
-        seq = [start]
-        prev = None
-        cur = start
-        while True:
-            nxts = [y for y in adj[cur] if y != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            seq.append(cur)
-        comps.append(seq)
+        comps.append(_walk(adj, min(ends)))
     return comps
 
 

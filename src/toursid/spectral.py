@@ -229,17 +229,7 @@ def expand_path(o) -> SPolynomial:
 
 def eval_spoly(p: SPolynomial, b: SkewMatrix):
     """Substitute n and the signed moments of b; exact on exact input."""
-    needed = p.indices()
-    smax = max(needed, default=0)
-    svals = {}
-    if smax:
-        n = b.n
-        a = b.entries
-        vec = [1] * n
-        for power in range(1, smax + 1):
-            vec = [sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)]
-            if power in needed:
-                svals[power] = sum(vec)
+    svals = s_moments_up_to(b, max(p.indices(), default=0))
     total = Fraction(0) if b.is_exact else 0.0
     for (z, runs), c in p.terms:
         term = c * b.n**z

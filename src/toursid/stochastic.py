@@ -62,32 +62,30 @@ def balance_indicators(dirs) -> list[int]:
     return out
 
 
+def _fg_chain(dirs):
+    """The exact states (f_i, g_i) for i = 0..len(dirs), from f_0 = g_0 = 1.
+
+    An imbalanced step is the balanced step applied to the swapped pair.
+    """
+    f = g = Fraction(1)
+    yield f, g
+    for _, balanced in zip(dirs, balance_indicators(dirs)):
+        if not balanced:
+            f, g = g, f
+        f, g = f / 2 + g, g / 2
+        yield f, g
+
+
 def fg_process(o) -> FGState:
     """Run the exact dyadic chain along an orientation; '' gives the start state."""
     dirs = _dirs_of(o)
-    f, g = Fraction(1), Fraction(1)
-    ind = balance_indicators(dirs)
-    for i in range(len(dirs)):
-        if ind[i]:
-            f, g = f / 2 + g, g / 2
-        else:
-            f, g = g / 2 + f, f / 2
+    *_, (f, g) = _fg_chain(dirs)
     return FGState(f, g, len(dirs))
 
 
 def fg_x_series(o) -> list[Fraction]:
     """x_i = (f_i + g_i)/2 along the orientation, starting at x_0 = 1."""
-    dirs = _dirs_of(o)
-    f, g = Fraction(1), Fraction(1)
-    xs = [Fraction(1)]
-    ind = balance_indicators(dirs)
-    for i in range(len(dirs)):
-        if ind[i]:
-            f, g = f / 2 + g, g / 2
-        else:
-            f, g = g / 2 + f, f / 2
-        xs.append((f + g) / 2)
-    return xs
+    return [(f + g) / 2 for f, g in _fg_chain(_dirs_of(o))]
 
 
 def resolve_beta_star(max_edges: int = 12) -> Fraction:

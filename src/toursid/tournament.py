@@ -15,7 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapExceeded, MissingHalfLoops, RangeViolated, SizeMismatch
+from .core import _read_text
+from .errors import CapExceeded, InvalidInput, MissingHalfLoops, RangeViolated, SizeMismatch
 
 ENUMERATION_CAP = 7
 CUTNORM_CAP = 16
@@ -31,6 +32,13 @@ def _is_exact(rows) -> bool:
     return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
 
 
+def _check_square(n: int, rows) -> None:
+    if n < 1:
+        raise InvalidInput("need at least one vertex")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InvalidInput(f"need {n} rows of {n} entries")
+
+
 @dataclass(frozen=True)
 class Tournament:
     """Unweighted tournament; adj[i][j] == 1 iff arc i -> j."""
@@ -39,14 +47,13 @@ class Tournament:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
+        _check_square(self.n, self.adj)
         for i in range(self.n):
             if self.adj[i][i] != 0:
-                raise ValueError("no self-loops")
+                raise InvalidInput("no self-loops")
             for j in range(i + 1, self.n):
                 if self.adj[i][j] + self.adj[j][i] != 1:
-                    raise ValueError(f"pair ({i},{j}) must have exactly one arc")
+                    raise InvalidInput(f"pair ({i},{j}) must have exactly one arc")
 
     def has_arc(self, i: int, j: int) -> bool:
         return bool(self.adj[i][j])
@@ -64,27 +71,28 @@ class WeightedTournament:
     loops_half: bool = True
 
     def __post_init__(self):
+        _check_square(self.n, self.entries)
         exact = self.is_exact
         one = Fraction(1) if exact else 1.0
         for i in range(self.n):
             for j in range(self.n):
                 x = self.entries[i][j]
                 if x < 0 or x > 1:
-                    raise ValueError(f"entry ({i},{j}) = {x} outside [0,1]")
+                    raise InvalidInput(f"entry ({i},{j}) = {x} outside [0,1]")
                 if i == j:
                     continue
                 s = self.entries[i][j] + self.entries[j][i]
                 if exact:
                     if s != one:
-                        raise ValueError(f"A({i},{j}) + A({j},{i}) != 1")
+                        raise InvalidInput(f"A({i},{j}) + A({j},{i}) != 1")
                 elif abs(s - 1.0) > _FLOAT_TOL:
-                    raise ValueError(f"A({i},{j}) + A({j},{i}) != 1 (float)")
+                    raise InvalidInput(f"A({i},{j}) + A({j},{i}) != 1 (float)")
             if self.loops_half:
                 half = Fraction(1, 2) if exact else 0.5
                 if exact and self.entries[i][i] != half:
-                    raise ValueError("half loops requested but diagonal != 1/2")
+                    raise InvalidInput("half loops requested but diagonal != 1/2")
                 if not exact and abs(self.entries[i][i] - 0.5) > _FLOAT_TOL:
-                    raise ValueError("half loops requested but diagonal != 1/2")
+                    raise InvalidInput("half loops requested but diagonal != 1/2")
 
     @property
     def is_exact(self) -> bool:
@@ -110,18 +118,19 @@ class SkewMatrix:
     entries: tuple[tuple, ...]
 
     def __post_init__(self):
+        _check_square(self.n, self.entries)
         exact = self.is_exact
         for i in range(self.n):
             for j in range(self.n):
                 x = self.entries[i][j]
                 if x < -1 or x > 1:
-                    raise ValueError(f"entry ({i},{j}) = {x} outside [-1,1]")
+                    raise InvalidInput(f"entry ({i},{j}) = {x} outside [-1,1]")
                 s = self.entries[i][j] + self.entries[j][i]
                 if exact:
                     if s != 0:
-                        raise ValueError("matrix is not skew-symmetric")
+                        raise InvalidInput("matrix is not skew-symmetric")
                 elif abs(s) > _FLOAT_TOL:
-                    raise ValueError("matrix is not skew-symmetric (float)")
+                    raise InvalidInput("matrix is not skew-symmetric (float)")
 
     @property
     def is_exact(self) -> bool:
@@ -301,16 +310,7 @@ def format_tournament_text(t: Tournament) -> str:
 
 
 def parse_tournament_text(text: str) -> Tournament:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("tournament n="):
-        raise ValueError("expected 'tournament n=<n>' header")
-    n = int(lines[0].split("=", 1)[1])
-    adj = [[int(c) for c in lines[1 + i].strip()] for i in range(n)]
-    return Tournament(n, _freeze(adj))
-
-
-def _parse_scalar(tok: str) -> Fraction:
-    return Fraction(tok)
+    return _parse_host(text, ("tournament n",))
 
 
 def format_weighted_text(w: WeightedTournament) -> str:
@@ -329,11 +329,20 @@ def _frac_str(x) -> str:
 
 
 def parse_weighted_text(text: str) -> WeightedTournament:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("wtournament n="):
-        raise ValueError("expected 'wtournament n=<n>' header")
-    n = int(lines[0].split("=", 1)[1])
-    ent = [[_parse_scalar(tok) for tok in lines[1 + i].split()] for i in range(n)]
+    return _parse_host(text, ("wtournament n",))
+
+
+_HOST_ROWS = {
+    "tournament n": lambda line: [int(c) for c in line.strip()],
+    "wtournament n": lambda line: [Fraction(tok) for tok in line.split()],
+}
+
+
+def _parse_host(text: str, heads=tuple(_HOST_ROWS)):
+    """A tournament or a weighted tournament, from a file with one of heads."""
+    head, n, rows = _read_text(text, {h: _HOST_ROWS[h] for h in heads})
+    if head == "tournament n":
+        return Tournament(n, _freeze(rows))
     half = Fraction(1, 2)
-    loops_half = all(ent[i][i] == half for i in range(n))
-    return WeightedTournament(n, _freeze(ent), loops_half=loops_half)
+    loops_half = all(i < len(row) and row[i] == half for i, row in enumerate(rows))
+    return WeightedTournament(n, _freeze(rows), loops_half=loops_half)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .core import Digraph, Tree, digraph, tree
+from .core import Digraph, Tree, _component, _walk, digraph, tree
 from .errors import CapExceeded, NotCaterpillar, NotIndependent
 from .tournament import Tournament, enumerate_tournaments
 
@@ -80,19 +80,7 @@ def is_caterpillar(t: Tree) -> tuple[bool, list[int]]:
         return (True, [])
     # order the spine as a path
     sub = {x: [y for y in adj[x] if y in spine_set] for x in spine_set}
-    if not all(len(v) <= 2 for v in sub.values()):
-        return (False, [])
-    ends = sorted(x for x in spine_set if len(sub[x]) <= 1)
-    start = ends[0]
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        nxts = [y for y in sub[cur] if y != prev]
-        if not nxts:
-            break
-        prev, cur = cur, nxts[0]
-        seq.append(cur)
+    seq = _walk(sub, min(x for x in spine_set if len(sub[x]) <= 1))
     if len(seq) != len(spine_set):
         return (False, [])
     return (True, seq)
@@ -165,18 +153,6 @@ def rooted_code(adj, root: int, parent: int | None = None) -> str:
     return "(" + "".join(kids) + ")"
 
 
-def _branch_vertices(adj, root: int, banned: int) -> set[int]:
-    out = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y != banned and y not in out:
-                out.add(y)
-                stack.append(y)
-    return out
-
-
 def _match_rooted(adj, r1, p1, r2, p2, phi):
     """Extend phi with a canonical isomorphism of two rooted branches."""
     phi[r1] = r2
@@ -209,8 +185,8 @@ def find_isomorphic_pair(t: Tree) -> IsoPair | None:
             roots = codes[code]
             if len(roots) >= 2:
                 w1, w2 = sorted(roots)[:2]
-                h1 = _branch_vertices(adj, w1, v)
-                h2 = _branch_vertices(adj, w2, v)
+                h1 = _component(adj, w1, banned=v)
+                h2 = _component(adj, w2, banned=v)
                 phi: dict[int, int] = {}
                 _match_rooted(adj, w1, v, w2, v, phi)
                 pair = IsoPair(

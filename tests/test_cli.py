@@ -64,6 +64,27 @@ def test_missing_file_is_a_structured_error(argv, tmp_path, capsys):
     assert "missing" in payload["message"]
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["verify", "--mode", "tas", "--pattern-file", "{f}"], "digraph v=2\n0 1\n1 0\n"),
+    (["orient-tree", "--file", "{f}"], "tree v=4\n0 1\n1 2\n"),
+    (["hom", "--pattern-path", "><", "--host-file", "{f}"], "wtournament n=2\n1/2 2\n-1 1/2\n"),
+    (["hom", "--pattern-path", "><", "--host-file", "{f}"], "tournament n=3\n011\n001\n"),
+    (["hom", "--pattern-path", "><", "--host-file", "{f}"], "tournament n=3\n011\n00\n000\n"),
+    (["hom", "--pattern-path", "><", "--host-file", "{f}"], "wtournament n=1\n1/0\n"),
+    (["strong-tas", "--file", "{f}"], "digraph v=3\n0 x\n"),
+    (["iso-pair", "--file", "{f}"], "tree v=three\n"),
+    (["hom", "--pattern-path", "><", "--host-file", "{f}"], "matrix n=1\n0\n"),
+], ids=["digon", "tree-too-few-edges", "weighted-entry-2", "truncated-tournament",
+        "short-tournament-row", "zero-denominator", "bad-token", "bad-size", "bad-header"])
+def test_malformed_file_is_a_structured_error(argv, text, tmp_path, capsys):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, *[a.replace("{f}", str(f)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -301,6 +322,12 @@ GOLDEN_FILES = {
     "cycle5.dg": "digraph v=5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
     "tree6.dg": "digraph v=6\n0 1\n2 1\n1 3\n3 4\n5 3\n",
     "host.wt": "wtournament n=3\n1/2 99/100 0\n1/100 1/2 1\n1 0 1/2\n",
+    "host.t": "tournament n=3\n011\n001\n000\n",
+    "tree.txt": "tree v=3\n0 1\n1 2\n",
+    "spider.txt": "tree v=7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n",
+    "legs.txt": "tree v=10\n0 1\n1 2\n0 3\n3 4\n4 5\n0 6\n6 7\n7 8\n8 9\n",
+    "digraph.txt": "digraph v=4\n0 1\n2 1\n3 0\n",
+    "anchored.dg": "digraph v=3\n0 1\n2 1\n",
 }
 
 GOLDEN_SCANS = [
@@ -344,13 +371,269 @@ GOLDEN_SCANS = [
 ]
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN_SCANS, ids=lambda a: " ".join(a)
+# Every README example and the file-reading, tree, anchored-check and
+# cycle-rule paths of the CLI, recorded before the duplicated chain, walk,
+# reader and f/g loops were written once.  The README's stochastic examples
+# run 10^7, 10^6 and 10^5 steps; here they run 10^5, 2*10^4 and 300 (still
+# past the 256-step cut where fg --sample stops reporting mean_total).
+GOLDEN_COMMANDS = [
+    (["classify-path", ">>>>><><>", "--json"],
+     '{"counts":{"c_2p3":-11,"c_min_k":2,"c_p3":0,"c_p5":2,"min_k":4},"e":9,"i'
+     'nput":">>>>><><>","rule":"P5-2P3:case(iii)","v":10,"verdict":"Neither"}\n'),
+    (["classify-cycle", ">>>>>", "--json"],
+     '{"counts":{"c_2p3":0,"c_min_k":null,"c_p3":5,"c_p5":5,"min_k":null},"e":'
+     '5,"flips":0,"input":">>>>>","rule":"wedges-cycle:case(ii)","v":5,"verdic'
+     't":"LTAS"}\n'),
+    (["counts", ">><>><>", "--json"],
+     '{"c_2p3":2,"c_min_k":2,"c_p3":-2,"c_p5":-2,"input":">><>><>","kind":"pat'
+     'h","min_k":3}\n'),
+    (["counts", ">><>><>", "--cycle"],
+     'C(P3)=-1 C(P5)=-5 C(2P3)=3 min_k=3 C(P_2k+1)=3\n'),
+    (["expand", "><<<"],
+     '(1/16)*n^5*S2^0*S4^0 + (1/4)*n^2*S2^1*S4^0 + (-1/1)*n^0*S2^0*S4^1\n'),
+    (["certify-sign", ">><<", "--json"],
+     '{"orientation":">><<","trace":["bound (1)*n^0*X4 by (1/4)*n^2*X2 and can'
+     'cel","all positive monomials absorbed; residual <= 0"],"verdict":"Certif'
+     'iedTAS"}\n'),
+    (["certify-sign", "><>>><"],
+     'Unknown\n'
+     '  no greedy certificate in either direction\n'),
+    (["kernels", "MBalanced", "--json"],
+     '{"n":3,"name":"MBalanced","rows":[["0/1","1/1","-1/1"],["-1/1","0/1","1/'
+     '1"],["1/1","-1/1","0/1"]],"t_2p3":"0/1","t_p3":"0/1","t_p5":"0/1"}\n'),
+    (["kernels", "B1"],
+     'B1: n=2\n'
+     '0/1 1/1\n'
+     '-1/1 0/1\n'
+     't_P3=-1/4 t_P5=1/16 t_2P3=1/16\n'),
+    (["verify", "--mode", "tas", "--pattern", ">><<", "--max-n", "5", "--json"],
+     '{"margin_min":"0/1","mode":"TAS","n_checked":5,"pattern":">><<","samples'
+     '":1099,"violation":null}\n'),
+    (["verify", "--mode", "ts", "--pattern", "><>>><", "--max-n", "3", "--budget", "2",
+      "--seed", "1", "--json"],
+     '{"margin_min":"0/1","mode":"TS","n_checked":3,"pattern":"><>>><","sample'
+     's":16,"violation":{"direction":"ViolatesTS","pattern":"><>>><","threshol'
+     'd":"2187/64","value":"56742746491475924378841795/16605514241291028746650'
+     '24"}}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "tree6.dg", "--max-n", "1", "--budget", "1",
+      "--seed", "2", "--json"],
+     '{"margin_min":"0/1","mode":"TS","n_checked":1,"pattern":"digraph(v=6,e=5'
+     ')","samples":4,"violation":{"direction":"ViolatesTS","pattern":null,"thr'
+     'eshold":"2/1","value":"9/8"}}\n'),
+    (["orient-tree", "--file", "tree.txt", "--json"],
+     '{"arcs":[[0,1],[1,2]],"provenance":"CaterpillarRule"}\n'),
+    (["orient-tree", "--file", "spider.txt", "--json"],
+     '{"arcs":[[0,3],[0,5],[1,0],[1,2],[3,4],[5,6]],"provenance":"IsoPairRecur'
+     'sion"}\n'),
+    (["orient-tree", "--file", "spider.txt"],
+     'digraph v=7\n'
+     '0 3\n'
+     '0 5\n'
+     '1 0\n'
+     '1 2\n'
+     '3 4\n'
+     '5 6\n'
+     'provenance: IsoPairRecursion\n'),
+    (["orient-tree", "--file", "legs.txt"],
+     '{"arcs":null,"provenance":"Unknown"}\n'),
+    (["iso-pair", "--file", "tree.txt"],
+     '{"found":true,"h1":[0],"h2":[2],"phi":[[0,2]],"v":1,"w":0}\n'),
+    (["iso-pair", "--file", "spider.txt"],
+     '{"found":true,"h1":[1,2],"h2":[3,4],"phi":[[1,3],[2,4]],"v":0,"w":1}\n'),
+    (["iso-pair", "--file", "legs.txt"],
+     '{"found":false}\n'),
+    (["strong-tas", "--file", "digraph.txt", "--independent", "1", "--max-n", "4"],
+     '{"checked":285,"passed":true}\n'),
+    (["strong-tas", "--file", "anchored.dg", "--independent", "0,2", "--max-n", "3"],
+     '{"checked":8,"counterexample":{"adj":[[0,0,0],[1,0,0],[1,1,0]],"bound":"'
+     '3/4","count":1,"embedding":[[0,1],[2,2]],"n":3},"passed":false}\n'),
+    (["lyapunov", "--mode", "recurrence", "--beta", "1/8", "--steps", "100000", "--seed", "1"],
+     '{"beta":"1/8","ci95_high":-0.007528876343776887,"ci95_low":-0.0092155221'
+     '2450917,"lambda_hat":-0.008372199234143028,"mode":"recurrence","seed":1,'
+     '"steps":100000}\n'),
+    (["lyapunov", "--mode", "fg", "--steps", "20000", "--seed", "2", "--csv"],
+     'batch,steps,lambda_hat\n'
+     '0,200,-0.04583949451528211\n'
+     '1,200,-0.06551171780906158\n'
+     '2,200,0.003395552540843454\n'
+     '3,200,-0.0861061851508206\n'
+     '4,200,-0.03811063437153105\n'
+     '5,200,-0.03920342152919336\n'
+     '6,200,-0.07313665975760227\n'
+     '7,200,-0.03905473581207836\n'
+     '8,200,-0.03124139420909117\n'
+     '9,200,-0.017246304247309753\n'
+     '10,200,-0.052760125101141496\n'
+     '11,200,-0.03713987579051839\n'
+     '12,200,-0.023961709867564806\n'
+     '13,200,-0.09211207866399881\n'
+     '14,200,-0.0777521048992508\n'
+     '15,200,0.00018707159716953469\n'
+     '16,200,-0.022935427375989973\n'
+     '17,200,-0.07251582949685358\n'
+     '18,200,-0.03406981012456242\n'
+     '19,200,-0.027742632324987967\n'
+     '20,200,-0.0610598962271385\n'
+     '21,200,-0.027922723327869648\n'
+     '22,200,-0.03692891375084059\n'
+     '23,200,-0.029647644637993836\n'
+     '24,200,-0.022225548856297905\n'
+     '25,200,-0.03026368948452344\n'
+     '26,200,-0.04633011531150473\n'
+     '27,200,-0.08877699891934455\n'
+     '28,200,-0.043798103980886224\n'
+     '29,200,-0.040079675823297405\n'
+     '30,200,-0.07960123146092911\n'
+     '31,200,-0.02787382084192444\n'
+     '32,200,-0.02528486392562911\n'
+     '33,200,-0.06565065707178291\n'
+     '34,200,-0.04100061230025659\n'
+     '35,200,-0.004332649475488779\n'
+     '36,200,-0.03289324239747742\n'
+     '37,200,-0.006604729369701943\n'
+     '38,200,-0.06727002475334189\n'
+     '39,200,-0.011620377807581121\n'
+     '40,200,-0.06999682071227512\n'
+     '41,200,-0.04008625064819256\n'
+     '42,200,-0.008084458312023344\n'
+     '43,200,-0.08206448229747167\n'
+     '44,200,-0.05329721275051895\n'
+     '45,200,-0.07767978796762862\n'
+     '46,200,-0.03471271139137002\n'
+     '47,200,-0.05705873626467195\n'
+     '48,200,-0.03287044132256597\n'
+     '49,200,-0.006471465054856935\n'
+     '50,200,-0.04976051807606154\n'
+     '51,200,-0.10528994969911168\n'
+     '52,200,-0.04287973527888909\n'
+     '53,200,-0.038778801811028246\n'
+     '54,200,0.010553679232877186\n'
+     '55,200,-0.05202899061712344\n'
+     '56,200,-0.037593796695247476\n'
+     '57,200,-0.05491955786878321\n'
+     '58,200,-0.06924848652503983\n'
+     '59,200,-0.023255882145609804\n'
+     '60,200,-0.0398723902635777\n'
+     '61,200,-0.027502897881300895\n'
+     '62,200,-0.00592802244900497\n'
+     '63,200,-0.005873218478105855\n'
+     '64,200,-0.12751605956313428\n'
+     '65,200,0.004129571486611212\n'
+     '66,200,-0.03974817686223389\n'
+     '67,200,-0.05223854332838243\n'
+     '68,200,0.01649831056860933\n'
+     '69,200,-0.0857935759713297\n'
+     '70,200,-0.06311469457735995\n'
+     '71,200,-0.006538220258713636\n'
+     '72,200,-0.07848138154385595\n'
+     '73,200,0.030705330392667634\n'
+     '74,200,-0.06365672681571993\n'
+     '75,200,0.005169482453140972\n'
+     '76,200,-0.0061194384822397295\n'
+     '77,200,-0.07623996401886643\n'
+     '78,200,-0.060452991810849996\n'
+     '79,200,-0.05616403326717261\n'
+     '80,200,-0.04239884204262125\n'
+     '81,200,-0.07495983092933897\n'
+     '82,200,-0.04207327123479729\n'
+     '83,200,-0.0717738961692413\n'
+     '84,200,-0.06808915794309656\n'
+     '85,200,-0.026961744494882395\n'
+     '86,200,-0.01227275001721523\n'
+     '87,200,-0.011948724684298213\n'
+     '88,200,-0.016701895437381608\n'
+     '89,200,-0.05723431244275105\n'
+     '90,200,-0.04297495525701152\n'
+     '91,200,-0.06888940801614638\n'
+     '92,200,-0.08082489736368245\n'
+     '93,200,-0.041472271836227606\n'
+     '94,200,0.0008698548686464847\n'
+     '95,200,-0.028783232915222924\n'
+     '96,200,-0.04777479471299273\n'
+     '97,200,-0.004166290413280649\n'
+     '98,200,-0.100048651379214\n'
+     '99,200,-0.07526697721364087\n'),
+    (["fg", "--orientation", "><><"],
+     '{"f":"41/16","g":"17/16","orientation":"><><","steps":4,"total":"29/8"}\n'),
+    (["fg", "--sample", "300", "400", "--seed", "3"],
+     '{"exhaustive":false,"frac_at_least":0.0175,"mean_log_ratio":-0.043722731'
+     '43260374,"mean_total":NaN,"median_log_ratio":-0.043079713676770874,"n":3'
+     '00,"trials":400}\n'),
+    (["fg", "--sample", "10", "1024", "--exhaustive"],
+     '{"exhaustive":true,"frac_at_least":0.39453125,"mean_log_ratio":-0.037066'
+     '11671728768,"mean_total":"2/1","median_log_ratio":-0.026070548475357884,'
+     '"n":10,"trials":1024}\n'),
+    (["sparse", "--parts", "1,1,1,1,1,1,1,1,1"],
+     '{"e":36,"edges":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[1,2],['
+     '1,3],[1,4],[1,5],[1,6],[1,7],[1,8],[2,3],[2,4],[2,5],[2,6],[2,7],[2,8],['
+     '3,4],[3,5],[3,6],[3,7],[3,8],[4,5],[4,6],[4,7],[4,8],[5,6],[5,7],[5,8],['
+     '6,7],[6,8],[7,8]],"k":9,"m":9,"parts":[[0],[1],[2],[3],[4],[5],[6],[7],['
+     '8]],"violates":true}\n'),
+    (["hom", "--pattern-path", "><>>><", "--host-file", "host.t", "--json"],
+     '{"h":"2307/64","pattern":"path ><>>><","t":"769/46656"}\n'),
+    (["hom", "--pattern-path", "><>>><", "--host-file", "host.t", "--no-loops"],
+     'h = 0/1\n'
+     't = 0/1\n'),
+    (["hom", "--pattern-path", "><>>><", "--host-file", "host.t", "--float", "--json"],
+     '{"h":36.046875,"pattern":"path ><>>><","t":0.016482338820301784}\n'),
+    (["hom", "--pattern-path", ">><<>", "--host-file", "host.wt", "--json"],
+     '{"h":"569542351/25000000","pattern":"path >><<>","t":"569542351/18225000'
+     '000"}\n'),
+    (["hom", "--pattern-path", ">><<>", "--host-file", "host.wt", "--float"],
+     'h = 22.781694039999998\n'
+     't = 0.031250609108367626\n'),
+    (["classify-cycle", ">><", "--json"],
+     '{"counts":{"c_2p3":0,"c_min_k":null,"c_p3":-1,"c_p5":0,"min_k":null},"e"'
+     ':3,"flips":1,"input":">><","rule":"wedges-cycle:case(i)","v":3,"verdict"'
+     ':"LTS"}\n'),
+    (["classify-cycle", ">>>>><"],
+     'cycle >>>>>< (flips=1): Neither [wedges-cycle:cycle-parity]\n'),
+    (["classify-cycle", ">>>>><><", "--best-effort"],
+     'cycle >>>>><>< (flips=2): Neither [2P3-cycle:cycle-parity]\n'),
+    (["classify-cycle", ">>>><>><", "--best-effort"],
+     'cycle >>>><>>< (flips=2): Neither [P5-2P3-cycle:cycle-parity]\n'),
+    (["classify-cycle", ">>>><><<", "--best-effort"],
+     'cycle >>>><><< (flips=3): LTAS [2P3-cycle:case(ii)]\n'),
+    (["classify-cycle", ">><<>><<", "--best-effort"],
+     'cycle >><<>><< (flips=4): LTS [P5-2P3-cycle:case(i)]\n'),
+    (["classify-cycle", ">>>>>>><><><", "--best-effort", "--json"],
+     '{"counts":{"c_2p3":-18,"c_min_k":-4,"c_p3":0,"c_p5":4,"min_k":4},"e":12,'
+     '"flips":3,"input":">>>>>>><><><","rule":"P5-2P3-cycle:case(iii)","v":12,'
+     '"verdict":"Neither"}\n'),
+    (["classify-cycle", ">>>>>><><<><", "--best-effort"],
+     'cycle >>>>>><><<>< (flips=4): Neither [2P3-cycle:case(iii)]\n'),
+    (["classify-cycle", ">>>>><>>><><", "--best-effort"],
+     'cycle >>>>><>>><>< (flips=3): LTAS [P5-2P3-cycle:case(ii)]\n'),
+    (["classify-cycle", ">>><", "--best-effort"],
+     'cycle >>>< (flips=1): Unknown [unknown:all-zero]\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_SCANS + GOLDEN_COMMANDS, ids=lambda a: " ".join(a)
                          if isinstance(a, list) else None)
 def test_golden_scans_and_counts(argv, expected, tmp_path, capsys):
     for name, text in GOLDEN_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
     assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["certificate", "TransitiveTriangle"],
+     '{"direction":"ViolatesTAS","pattern":"><>>><","threshold":"2187/64","value":"2307/64"}\n'),
+    (["certificate", "PerturbedCyclic", "--delta", "1/50"],
+     '{"direction":"ViolatesTS","pattern":"><>>><","threshold":"2187/64",'
+     '"value":"533930539573/15625000000"}\n'),
+], ids=lambda a: a[1] if isinstance(a, list) else None)
+def test_golden_certificate_files(argv, expected, tmp_path, capsys):
+    prefix = str(tmp_path / "cert")
+    assert run_cli(capsys, *argv, "--out", prefix) == (0, expected, "")
+    assert (tmp_path / "cert.json").read_text() == expected
+    hosts = {
+        "TransitiveTriangle": "wtournament n=3\n1/2 1/1 1/1\n0/1 1/2 1/1\n0/1 0/1 1/2\n",
+        "PerturbedCyclic": "wtournament n=3\n1/2 49/50 0/1\n1/50 1/2 1/1\n1/1 0/1 1/2\n",
+    }
+    assert (tmp_path / "cert.wt").read_text() == hosts[argv[1]]
 
 
 def test_golden_refuted_path_certificate_files(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from toursid.construct import CertDirection, certificate
@@ -9,6 +12,9 @@ from toursid.hom import hom_generic
 from toursid.search import (
     MODE_TAS,
     MODE_TS,
+    _digraph_gradient,
+    _host_from_b,
+    _path_gradient,
     certify,
     optimize_density,
     rationalize_host,
@@ -17,6 +23,22 @@ from toursid.search import (
 from toursid.tournament import WeightedTournament, _freeze, enumerate_tournaments, with_half_loops
 
 F = Fraction
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_path_gradient_matches_the_kernel_gradient(n):
+    # the prefix/suffix chain gradient against the open-arc kernel on the
+    # same path digraph, for every orientation with at most five edges
+    rng = random.Random(n)
+    b = [[rng.uniform(-0.5, 0.5) for _ in range(n)] for _ in range(n)]
+    a = _host_from_b(b, n)
+    for e in range(1, 6):
+        for dirs in product((1, -1), repeat=e):
+            o = Orientation(dirs)
+            got = np.array(_path_gradient(o, a, n))
+            want = np.array(_digraph_gradient(path_digraph(o), a, n))
+            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, (str(o), n)
 
 
 def test_refute_finds_tas_violation_for_six_edge_pattern():
