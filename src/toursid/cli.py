@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import classify, construct, core, hom, search, signed, spectral, stochastic, trees
-from .errors import ToursidError
+from .errors import InvalidInput, ToursidError
 
 
 def _frac(x) -> str:
@@ -32,8 +32,23 @@ def _emit_text(lines) -> None:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _parse(convert, text: str, flag: str):
+    """convert(text), with a malformed value reported as InvalidInput."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"bad value {text!r} for {flag}") from None
+
+
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")] if text else []
 
 
 def _cmd_classify_path(args) -> int:
@@ -178,7 +193,7 @@ def _write_certificate(prefix: str, cert) -> None:
 
 
 def _cmd_certificate(args) -> int:
-    delta = Fraction(args.delta) if args.delta is not None else Fraction(1, 100)
+    delta = _parse(Fraction, args.delta, "--delta") if args.delta is not None else Fraction(1, 100)
     cert = construct.certificate(args.name, delta=delta)
     if args.out:
         _write_certificate(args.out, cert)
@@ -247,7 +262,7 @@ def _cmd_iso_pair(args) -> int:
 
 def _cmd_strong_tas(args) -> int:
     d = core.parse_digraph_text(_read_file(args.file))
-    i_set = [int(x) for x in args.independent.split(",")] if args.independent else []
+    i_set = _parse(_ints, args.independent, "--independent")
     rep = trees.strong_tas_check(d, i_set, n_max=args.max_n)
     payload = {"passed": rep.passed, "checked": rep.checked}
     if rep.counterexample:
@@ -261,7 +276,7 @@ def _cmd_strong_tas(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    beta = Fraction(args.beta) if args.beta is not None else None
+    beta = _parse(Fraction, args.beta, "--beta") if args.beta is not None else None
     est = stochastic.lyapunov_estimate(
         args.mode, steps=args.steps, seed=args.seed, beta=beta, batches=args.batches
     )
@@ -321,7 +336,7 @@ def _cmd_localwalk(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
-    sizes = [int(x) for x in args.parts.split(",")]
+    sizes = _parse(_ints, args.parts, "--parts")
     sc = construct.sparse_non_tas(sizes)
     _emit_json({
         "m": sc.m,

@@ -17,6 +17,7 @@ from .core import Orientation, as_orientation
 from .errors import (
     CapExceeded,
     InvalidDelta,
+    InvalidInput,
     NotSkewForEvenPower,
     RangeViolated,
     UnknownName,
@@ -208,9 +209,9 @@ def sparse_non_tas(part_sizes) -> SparseConstruction:
     """Deterministic sparse graph whose every orientation maps onto a small tournament."""
     part_sizes = list(part_sizes)
     if len(part_sizes) < 2:
-        raise ValueError("need at least two parts")
+        raise InvalidInput("need at least two parts")
     if any(s < 1 for s in part_sizes):
-        raise ValueError("part sizes must be positive")
+        raise InvalidInput("part sizes must be positive")
     parts = []
     nxt = 0
     for s in part_sizes:

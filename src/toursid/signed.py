@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Digraph, _component, _walk, as_cycle, as_orientation
-from .errors import CapExceeded, OddComponent
+from .errors import CapExceeded, InvalidInput, OddComponent
 
 SIGNED_HOST_EDGE_CAP = 40
 
@@ -229,7 +229,7 @@ class WalkFractions:
 def walk_fractions(steps: int) -> WalkFractions:
     """Probability an n-step walk ends at zero / positive / negative."""
     if steps < 1:
-        raise ValueError("need at least one step")
+        raise InvalidInput("need at least one step")
     if steps % 2 == 1:
         p_zero = Fraction(0)
     else:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Orientation, as_orientation
-from .errors import DiscriminantNegative
+from .errors import DiscriminantNegative, InvalidInput
 
 RESCALE_EVERY = 64
 
@@ -135,8 +135,8 @@ def sample_fg(
     the exact mean of f+g (the martingale value 2).  Monte Carlo mode tracks
     log-rescaled floats so n up to ~10^5 cannot underflow.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if n < 1 or trials < 1:
+        raise InvalidInput("need at least one step and at least one trial")
     if exhaustive:
         from itertools import product as iproduct
 
@@ -153,7 +153,7 @@ def sample_fg(
                         statistics.fmean(logs), statistics.median(logs),
                         frac, threshold, None)
     if seed is None:
-        raise ValueError("seed is required for Monte Carlo sampling")
+        raise InvalidInput("seed is required for Monte Carlo sampling")
     rng = np.random.Generator(np.random.PCG64(seed))
     f = np.ones(trials)
     g = np.ones(trials)
@@ -288,15 +288,15 @@ def lyapunov_estimate(
     form with periodic log-rescaling; mode "fg" runs the homomorphism chain
     itself (float, rescaled).
     """
-    if steps < batches:
-        raise ValueError("steps must be at least the number of batches")
+    if not 1 <= batches <= steps:
+        raise InvalidInput("need at least one batch and at least as many steps as batches")
     rng = np.random.Generator(np.random.PCG64(seed))
     batch_len = steps // batches
     total = batches * batch_len
     batch_means: list[float] = []
     if mode == "recurrence":
         if beta is None:
-            raise ValueError("recurrence mode needs beta")
+            raise InvalidInput("recurrence mode needs beta")
         beta = float(beta)
         if beta < 0 or 1.0 - 4.0 * beta < -1e-15:
             raise DiscriminantNegative("recurrence mode needs 0 <= beta <= 1/4")
@@ -343,7 +343,7 @@ def lyapunov_estimate(
             batch_means.append((ln_now - prev_ln) / batch_len)
             prev_ln = ln_now
     else:
-        raise ValueError("mode must be 'recurrence' or 'fg'")
+        raise InvalidInput("mode must be 'recurrence' or 'fg'")
     lam = statistics.fmean(batch_means)
     lo, hi = _batch_ci(batch_means, lam)
     return LyapunovEstimate(mode, beta, steps, seed, lam, lo, hi, tuple(batch_means))

@@ -14,6 +14,11 @@ Deterministic choices: the longest path is the lexicographically smallest
 vertex sequence among all longest paths (either direction), and siblings are
 ordered by vertex id.  Any choice is valid; pinning one makes outputs
 reproducible.
+
+The anchored checks (strong TAS and the AM-GM gluing step) count every host
+of size n in one pass: `_labeled_counts` evaluates all injective maps of the
+pattern on the whole 0/1 `tournament_stack(n)` at once, and the first
+violation is taken in host-then-embedding order.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, perm
+
+import numpy as np
 
 from .core import Digraph, Tree, _component, _walk, digraph, tree
-from .errors import CapExceeded, NotCaterpillar, NotIndependent
-from .tournament import Tournament, enumerate_tournaments
+from .errors import CapExceeded, InvalidInput, NotCaterpillar, NotIndependent
+from .tournament import Tournament, _freeze, tournament_stack
 
 STRONG_TAS_CAP = 5
 
@@ -57,10 +65,6 @@ class IsoPair:
         return dict(self.phi)
 
 
-def _leaves(t: Tree) -> set[int]:
-    return {x for x in range(t.v) if t.degree(x) == 1}
-
-
 def _is_path_graph(vertices: set[int], adj) -> bool:
     if len(vertices) <= 1:
         return True
@@ -73,7 +77,7 @@ def is_caterpillar(t: Tree) -> tuple[bool, list[int]]:
     if t.v < 2:
         raise ValueError("need at least two vertices")
     adj = t.adjacency()
-    spine_set = set(range(t.v)) - _leaves(t)
+    spine_set = {x for x in range(t.v) if t.degree(x) != 1}  # drop the leaves
     if not _is_path_graph(spine_set, adj):
         return (False, [])
     if not spine_set:
@@ -86,34 +90,17 @@ def is_caterpillar(t: Tree) -> tuple[bool, list[int]]:
     return (True, seq)
 
 
-def _all_longest_paths(t: Tree) -> list[list[int]]:
-    adj = t.adjacency()
-    best_len = 0
-    best: list[list[int]] = [[0]] if t.v == 1 else []
-
-    def dfs_paths(start):
-        out = []
-        stack = [(start, [start])]
-        while stack:
-            x, path = stack.pop()
-            out.append(path)
-            for y in adj[x]:
-                if y not in path:
-                    stack.append((y, path + [y]))
-        return out
-
-    for s in range(t.v):
-        for path in dfs_paths(s):
-            if len(path) > best_len:
-                best_len = len(path)
-                best = [path]
-            elif len(path) == best_len:
-                best.append(path)
-    return best
-
-
 def canonical_longest_path(t: Tree) -> list[int]:
-    return min(_all_longest_paths(t), key=tuple)
+    adj = t.adjacency()
+    paths = []
+    for start in range(t.v):
+        stack = [[start]]
+        while stack:
+            path = stack.pop()
+            paths.append(path)
+            stack.extend(path + [y] for y in adj[path[-1]] if y not in path)
+    longest = max(map(len, paths))
+    return min((p for p in paths if len(p) == longest), key=tuple)
 
 
 def orient_caterpillar(t: Tree) -> TreeOrientation:
@@ -136,12 +123,8 @@ def orient_caterpillar(t: Tree) -> TreeOrientation:
         for j, y in enumerate(pendants, start=1):
             away = forward if j % 2 == 1 else not forward
             arcs.append((x, y) if away else (y, x))
-        if t.degree(x) % 2 == 0:
-            nxt_forward = forward
-        else:
-            nxt_forward = not forward
-        arcs.append((x, spine[i + 1]) if nxt_forward else (spine[i + 1], x))
-        forward = nxt_forward
+        forward ^= t.degree(x) % 2 == 1  # odd degree reverses the spine direction
+        arcs.append((x, spine[i + 1]) if forward else (spine[i + 1], x))
     return TreeOrientation(t, tuple(arcs), PROV_CATERPILLAR)
 
 
@@ -264,21 +247,21 @@ class ExhaustiveReport:
     counterexample: dict | None
 
 
-def _labeled_extensions(d: Digraph, host: Tournament, pinned: dict[int, int]) -> int:
-    """Count injective maps V(d) -> V(host) extending `pinned` and preserving arcs."""
-    free = [x for x in range(d.v) if x not in pinned]
-    used = set(pinned.values())
-    avail = [x for x in range(host.n) if x not in used]
-    if len(free) > len(avail):
-        return 0
-    arcs = sorted(d.arcs)
-    count = 0
-    for image in permutations(avail, len(free)):
-        phi = dict(pinned)
-        phi.update(zip(free, image))
-        if all(host.adj[phi[u]][phi[w]] for u, w in arcs):
-            count += 1
-    return count
+def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
+    """Injective arc-preserving maps V(d) -> [n] into every host of the 0/1 stack adj.
+
+    Entry [s, a] counts the maps into host s that send `anchors` to the a-th
+    tuple of permutations(range(n), len(anchors)); listing the maps anchors
+    first groups them in that order.
+    """
+    n, k = adj.shape[1], len(anchors)
+    col = {x: i for i, x in enumerate(list(anchors) + [x for x in range(d.v) if x not in anchors])}
+    maps = np.array(list(permutations(range(n), d.v)), dtype=np.intp)
+    maps = maps.reshape(perm(n, k), perm(max(n - k, 0), d.v - k), d.v)
+    hit = np.ones((len(adj),) + maps.shape[:2], dtype=np.uint8)
+    for u, w in d.arcs:
+        hit &= adj[:, maps[..., col[u]], maps[..., col[w]]]
+    return hit.sum(axis=2, dtype=np.int64)
 
 
 def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:
@@ -288,31 +271,26 @@ def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:
     labeled (injective) copies of d extending the embedding.
     """
     i_set = sorted(set(i_set))
+    if not all(0 <= x < d.v for x in i_set):
+        raise InvalidInput(f"anchors must be vertices 0..{d.v - 1} of the pattern")
     if n_max > STRONG_TAS_CAP:
         raise CapExceeded(f"strong TAS check capped at n <= {STRONG_TAS_CAP}")
     for u, w in d.arcs:
         if u in i_set and w in i_set:
             raise NotIndependent(f"arc ({u},{w}) lies inside the anchored set")
-    checked = 0
+    checked, k = 0, len(i_set)
     for n in range(1, n_max + 1):
-        bound = Fraction(n ** (d.v - len(i_set)), 2**d.e)
-        for host in enumerate_tournaments(n):
-            for image in permutations(range(n), len(i_set)):
-                pinned = dict(zip(i_set, image))
-                cnt = _labeled_extensions(d, host, pinned)
-                checked += 1
-                if cnt > bound:
-                    return ExhaustiveReport(
-                        False,
-                        checked,
-                        {
-                            "n": n,
-                            "adj": host.adj,
-                            "embedding": tuple(pinned.items()),
-                            "count": cnt,
-                            "bound": bound,
-                        },
-                    )
+        adj = tournament_stack(n)
+        counts = _labeled_counts(d, adj, i_set)
+        # an integer count exceeds n^(v-k)/2^e iff it exceeds the floor; none exceeds n!
+        hits = np.flatnonzero(counts > min(n ** (d.v - k) // 2**d.e, factorial(n)))
+        if hits.size:
+            s, a = divmod(int(hits[0]), counts.shape[1])
+            return ExhaustiveReport(False, checked + int(hits[0]) + 1, {
+                "n": n, "adj": Tournament(n, _freeze(adj[s].tolist())).adj,
+                "embedding": tuple(zip(i_set, list(permutations(range(n), k))[a])),
+                "count": int(counts[s, a]), "bound": Fraction(n ** (d.v - k), 2**d.e)})
+        checked += counts.size
     return ExhaustiveReport(True, checked, None)
 
 
@@ -336,16 +314,14 @@ def amgm_check(h: Digraph, w: int, n_max: int) -> ExhaustiveReport:
     d, v_new, _ = glued_pair_digraph(h, w)
     checked = 0
     for n in range(1, n_max + 1):
-        for host in enumerate_tournaments(n):
-            n_h = _labeled_extensions(h, host, {})
-            bound = Fraction(n_h * n_h, 4)
-            for tvert in range(n):
-                cnt = _labeled_extensions(d, host, {v_new: tvert})
-                checked += 1
-                if cnt > bound:
-                    return ExhaustiveReport(
-                        False,
-                        checked,
-                        {"n": n, "adj": host.adj, "t": tvert, "count": cnt, "bound": bound},
-                    )
+        adj = tournament_stack(n)
+        n_h = _labeled_counts(h, adj, ())
+        counts = _labeled_counts(d, adj, (v_new,))
+        hits = np.flatnonzero(4 * counts > n_h * n_h)
+        if hits.size:
+            s, t = divmod(int(hits[0]), n)
+            return ExhaustiveReport(False, checked + int(hits[0]) + 1, {
+                "n": n, "adj": Tournament(n, _freeze(adj[s].tolist())).adj, "t": t,
+                "count": int(counts[s, t]), "bound": Fraction(int(n_h[s, 0]) ** 2, 4)})
+        checked += counts.size
     return ExhaustiveReport(True, checked, None)

@@ -85,6 +85,39 @@ def test_malformed_file_is_a_structured_error(argv, text, tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
+    f = tmp_path / "host.txt"
+    f.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "hom", "--pattern-path", "><", "--host-file", str(f))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certificate", "PerturbedCyclic", "--delta", "abc"],
+    ["certificate", "PerturbedCyclic", "--delta", "1/0"],
+    ["sparse", "--parts", "1,x"],
+    ["sparse", "--parts", "1"],
+    ["fg", "--sample", "5", "0", "--seed", "1"],
+    ["fg", "--sample", "0", "5", "--seed", "1"],
+    ["localwalk", "--steps", "0"],
+    ["lyapunov", "--mode", "fg", "--steps", "100", "--seed", "1", "--batches", "0"],
+    ["lyapunov", "--mode", "recurrence", "--steps", "100", "--seed", "1"],
+    ["lyapunov", "--mode", "recurrence", "--beta", "x", "--steps", "100", "--seed", "1"],
+    ["strong-tas", "--file", "{f}", "--independent", "9"],
+    ["strong-tas", "--file", "{f}", "--independent", "-1"],
+    ["strong-tas", "--file", "{f}", "--independent", "x"],
+], ids=" ".join)
+def test_bad_argument_value_is_a_structured_error(argv, tmp_path, capsys):
+    f = tmp_path / "pattern.dg"
+    f.write_text("digraph v=3\n0 1\n0 2\n")
+    code, out, err = run_cli(capsys, *[a.replace("{f}", str(f)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -328,6 +361,8 @@ GOLDEN_FILES = {
     "legs.txt": "tree v=10\n0 1\n1 2\n0 3\n3 4\n4 5\n0 6\n6 7\n7 8\n8 9\n",
     "digraph.txt": "digraph v=4\n0 1\n2 1\n3 0\n",
     "anchored.dg": "digraph v=3\n0 1\n2 1\n",
+    "arc.dg": "digraph v=2\n0 1\n",
+    "out-star.dg": "digraph v=3\n0 1\n0 2\n",
 }
 
 GOLDEN_SCANS = [
@@ -447,6 +482,12 @@ GOLDEN_COMMANDS = [
     (["strong-tas", "--file", "anchored.dg", "--independent", "0,2", "--max-n", "3"],
      '{"checked":8,"counterexample":{"adj":[[0,0,0],[1,0,0],[1,1,0]],"bound":"'
      '3/4","count":1,"embedding":[[0,1],[2,2]],"n":3},"passed":false}\n'),
+    (["strong-tas", "--file", "arc.dg", "--independent", "0", "--max-n", "5"],
+     '{"checked":8,"counterexample":{"adj":[[0,0,0],[1,0,0],[1,1,0]],"bound":"'
+     '3/2","count":2,"embedding":[[0,2]],"n":3},"passed":false}\n'),
+    (["strong-tas", "--file", "out-star.dg", "--independent", "1,2", "--max-n", "5"],
+     '{"checked":5,"counterexample":{"adj":[[0,0,0],[1,0,0],[1,1,0]],"bound":"'
+     '3/4","count":1,"embedding":[[1,0],[2,1]],"n":3},"passed":false}\n'),
     (["lyapunov", "--mode", "recurrence", "--beta", "1/8", "--steps", "100000", "--seed", "1"],
      '{"beta":"1/8","ci95_high":-0.007528876343776887,"ci95_low":-0.0092155221'
      '2450917,"lambda_hat":-0.008372199234143028,"mode":"recurrence","seed":1,'

@@ -1,11 +1,18 @@
+from collections import Counter
+from fractions import Fraction as F
+from functools import lru_cache
+from itertools import combinations, permutations, product
+
 import pytest
 
 from toursid.core import digraph, tree
-from toursid.errors import CapExceeded, NotCaterpillar, NotIndependent
+from toursid.errors import CapExceeded, InvalidInput, NotCaterpillar, NotIndependent
+from toursid.tournament import enumerate_tournaments
 from toursid.trees import (
     PROV_CATERPILLAR,
     PROV_ISO_PAIR,
     PROV_UNKNOWN,
+    ExhaustiveReport,
     amgm_check,
     find_isomorphic_pair,
     glued_pair_digraph,
@@ -179,6 +186,12 @@ def test_strong_tas_independence_required():
         strong_tas_check(digraph(2, [(0, 1)]), [0, 1], n_max=3)
 
 
+@pytest.mark.parametrize("anchors", [[9], [-1], [0, 3]])
+def test_strong_tas_anchors_must_be_vertices(anchors):
+    with pytest.raises(InvalidInput):
+        strong_tas_check(digraph(3, [(0, 1), (0, 2)]), anchors, n_max=3)
+
+
 def test_strong_tas_cap():
     with pytest.raises(CapExceeded):
         strong_tas_check(digraph(2, [(0, 1)]), [0], n_max=6)
@@ -212,3 +225,103 @@ def test_produced_orientations_pass_small_refutation():
         assert ori.provenance != PROV_UNKNOWN
         rep = refute(ori.as_digraph(), MODE_TAS, n_max=4)
         assert rep.violation is None, (t, ori.arcs)
+
+
+def test_amgm_reports_are_pinned():
+    # recorded before the anchored checks moved onto the host stack
+    for h, w in ((digraph(1, []), 0), (digraph(2, [(0, 1)]), 1),
+                 (digraph(3, [(0, 1), (1, 2)]), 1)):
+        assert amgm_check(h, w, n_max=5) == ExhaustiveReport(True, 5405, None)
+
+
+# --- per-host oracle ---------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _hosts(n):
+    return tuple(enumerate_tournaments(n))
+
+
+@lru_cache(maxsize=256)
+def _copies(d, host):
+    """Every arc-preserving injective map V(d) -> V(host), by brute force."""
+    return [phi for phi in permutations(range(host.n), d.v)
+            if all(host.adj[phi[u]][phi[w]] for u, w in d.arcs)]
+
+
+def _copies_by_anchor_image(d, host, anchors):
+    return Counter(tuple(phi[a] for a in anchors) for phi in _copies(d, host))
+
+
+def _strong_tas_by_host_loop(d, anchors, n_max):
+    """strong_tas_check, one host and one anchor embedding at a time."""
+    anchors = sorted(anchors)
+    checked = 0
+    for n in range(1, n_max + 1):
+        scaled_bound = n ** (d.v - len(anchors))  # the bound times 2^e
+        for host in _hosts(n):
+            counts = _copies_by_anchor_image(d, host, anchors)
+            for image in permutations(range(n), len(anchors)):
+                checked += 1
+                if counts[image] << d.e > scaled_bound:
+                    return ExhaustiveReport(False, checked, {
+                        "n": n, "adj": host.adj, "embedding": tuple(zip(anchors, image)),
+                        "count": counts[image], "bound": F(scaled_bound, 2**d.e)})
+    return ExhaustiveReport(True, checked, None)
+
+
+def _amgm_by_host_loop(h, w, n_max):
+    """amgm_check, one host and one image of the glue vertex at a time."""
+    d, v_new, _ = glued_pair_digraph(h, w)
+    checked = 0
+    for n in range(1, n_max + 1):
+        for host in _hosts(n):
+            n_h = len(_copies(h, host))
+            counts = _copies_by_anchor_image(d, host, [v_new])
+            for t in range(n):
+                checked += 1
+                if 4 * counts[(t,)] > n_h * n_h:
+                    return ExhaustiveReport(False, checked, {
+                        "n": n, "adj": host.adj, "t": t, "count": counts[(t,)],
+                        "bound": F(n_h * n_h, 4)})
+    return ExhaustiveReport(True, checked, None)
+
+
+def _oriented_digraphs(v):
+    pairs = list(combinations(range(v), 2))
+    for choice in product((None, 0, 1), repeat=len(pairs)):
+        yield digraph(v, [(a, b) if c == 0 else (b, a)
+                          for (a, b), c in zip(pairs, choice) if c is not None])
+
+
+def _independent_sets(d):
+    for k in range(d.v + 1):
+        for anchors in combinations(range(d.v), k):
+            if not any(u in anchors and w in anchors for u, w in d.arcs):
+                yield anchors
+
+
+def test_strong_tas_matches_the_per_host_loop():
+    cases = failing = 0
+    for v in range(1, 5):
+        for d in _oriented_digraphs(v):
+            for anchors in _independent_sets(d):
+                rep = strong_tas_check(d, anchors, n_max=4)
+                assert rep == _strong_tas_by_host_loop(d, anchors, 4), (d.arcs, anchors)
+                cases += 1
+                failing += not rep.passed
+    assert (cases, failing) == (5360, 394)
+
+
+def test_amgm_matches_the_per_host_loop():
+    for v in range(1, 4):
+        for h in _oriented_digraphs(v):
+            for w in range(v):
+                assert amgm_check(h, w, n_max=4) == _amgm_by_host_loop(h, w, 4), (h.arcs, w)
+
+
+def test_strong_tas_wide_pattern_needs_no_wide_integers():
+    # 2^66 does not fit in an int64; the check must still pass exactly
+    d = digraph(12, list(combinations(range(12), 2)))
+    rep = strong_tas_check(d, [], n_max=5)
+    assert rep == _strong_tas_by_host_loop(d, [], 5) == ExhaustiveReport(True, 1099, None)
