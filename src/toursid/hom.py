@@ -14,11 +14,11 @@ Evaluators:
                  2002).  Object arrays of ints or Fractions keep it exact.
 * hom_count   -- contract on one host, as a HomCount; hom_cycle applies it
                  to an oriented cycle.
-* hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T}; cheaper
-                 than the kernel on the optimizer's single small hosts.
-                 _chain returns its row vectors after each factor; the
-                 signed moments 1^T B^k 1 and the optimizer's path gradient
-                 read the same vectors.
+* hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T} on one
+                 host, for `hom --pattern-path` and construct; tests check
+                 the kernel against it.  _chain returns its row vectors
+                 after each factor; the signed moments 1^T B^k 1 read the
+                 same vectors.
 * hom_generic -- the brute-force sum over all n^v maps, kept as the
                  independent oracle for certificates and tests.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
@@ -85,13 +85,12 @@ def hom_generic(d: Digraph, host) -> HomCount:
     return HomCount(total, n, d.v)
 
 
-def _chain(a, n: int, dirs, one=1) -> list[list]:
-    """The row vectors 1^T M_1 ... M_k for k = 0..len(dirs), with 1 = (one, ..., one).
+def _chain(a, n: int, dirs) -> list[list]:
+    """The row vectors 1^T M_1 ... M_k for k = 0..len(dirs).
 
-    M_i is A when dirs[i-1] > 0 and A^T otherwise.  one=1.0 keeps a float
-    chain all float, which CPython multiplies faster than int * float.
+    M_i is A when dirs[i-1] > 0 and A^T otherwise.
     """
-    vecs = [[one] * n]
+    vecs = [[1] * n]
     for d in dirs:
         vec = vecs[-1]
         if d > 0:

@@ -108,6 +108,7 @@ def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
     ["strong-tas", "--file", "{f}", "--independent", "9"],
     ["strong-tas", "--file", "{f}", "--independent", "-1"],
     ["strong-tas", "--file", "{f}", "--independent", "x"],
+    ["verify", "--mode", "tas", "--pattern", ">><<", "--budget", "-3", "--seed", "1"],
 ], ids=" ".join)
 def test_bad_argument_value_is_a_structured_error(argv, tmp_path, capsys):
     f = tmp_path / "pattern.dg"
@@ -115,7 +116,9 @@ def test_bad_argument_value_is_a_structured_error(argv, tmp_path, capsys):
     code, out, err = run_cli(capsys, *[a.replace("{f}", str(f)) for a in argv])
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "InvalidInput"
+    # verify reports its out-of-range sizes as it does --max-n 0
+    expected = "PreconditionViolated" if argv[0] == "verify" else "InvalidInput"
+    assert json.loads(err)["error"] == expected
 
 
 def test_usage_error_exit_code(capsys):
@@ -367,30 +370,30 @@ GOLDEN_FILES = {
 
 GOLDEN_SCANS = [
     (["verify", "--mode", "tas", "--pattern", ">><<", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":">><<","samples":75,'
+     '{"mode":"TAS","n_checked":4,"pattern":">><<","samples":75,'
      '"violation":null}\n'),
     (["verify", "--mode", "tas", "--pattern", "><>>><", "--max-n", "3"],
      'pattern ><>>>< mode TAS: violation found\n{"direction": "ViolatesTAS", '
      '"pattern": "><>>><", "threshold": "2/1", "value": "71/32"}\n'),
     (["verify", "--mode", "tas", "--pattern-file", "square.dg", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":"digraph(v=4,e=4)",'
+     '{"mode":"TAS","n_checked":4,"pattern":"digraph(v=4,e=4)",'
      '"samples":75,"violation":null}\n'),
     (["verify", "--mode", "ts", "--pattern-file", "square.dg", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TS","n_checked":2,"pattern":"digraph(v=4,e=4)",'
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=4,e=4)",'
      '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
      '"threshold":"1/1","value":"7/8"}}\n'),
     (["verify", "--mode", "tas", "--pattern-file", "cycle5.dg", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":"digraph(v=5,e=5)",'
+     '{"mode":"TAS","n_checked":4,"pattern":"digraph(v=5,e=5)",'
      '"samples":75,"violation":null}\n'),
     (["verify", "--mode", "ts", "--pattern-file", "cycle5.dg", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TS","n_checked":2,"pattern":"digraph(v=5,e=5)",'
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=5,e=5)",'
      '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
      '"threshold":"1/1","value":"1/16"}}\n'),
     (["verify", "--mode", "tas", "--pattern-file", "tree6.dg", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TAS","n_checked":4,"pattern":"digraph(v=6,e=5)",'
+     '{"mode":"TAS","n_checked":4,"pattern":"digraph(v=6,e=5)",'
      '"samples":75,"violation":null}\n'),
     (["verify", "--mode", "ts", "--pattern-file", "tree6.dg", "--max-n", "4", "--json"],
-     '{"margin_min":"0/1","mode":"TS","n_checked":2,"pattern":"digraph(v=6,e=5)",'
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=6,e=5)",'
      '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
      '"threshold":"2/1","value":"9/8"}}\n'),
     (["hom", "--pattern-cycle", ">><", "--host-file", "host.wt", "--json"],
@@ -442,17 +445,17 @@ GOLDEN_COMMANDS = [
      '-1/1 0/1\n'
      't_P3=-1/4 t_P5=1/16 t_2P3=1/16\n'),
     (["verify", "--mode", "tas", "--pattern", ">><<", "--max-n", "5", "--json"],
-     '{"margin_min":"0/1","mode":"TAS","n_checked":5,"pattern":">><<","samples'
+     '{"mode":"TAS","n_checked":5,"pattern":">><<","samples'
      '":1099,"violation":null}\n'),
     (["verify", "--mode", "ts", "--pattern", "><>>><", "--max-n", "3", "--budget", "2",
       "--seed", "1", "--json"],
-     '{"margin_min":"0/1","mode":"TS","n_checked":3,"pattern":"><>>><","sample'
+     '{"mode":"TS","n_checked":3,"pattern":"><>>><","sample'
      's":16,"violation":{"direction":"ViolatesTS","pattern":"><>>><","threshol'
      'd":"2187/64","value":"56742746491475924378841795/16605514241291028746650'
      '24"}}\n'),
     (["verify", "--mode", "ts", "--pattern-file", "tree6.dg", "--max-n", "1", "--budget", "1",
       "--seed", "2", "--json"],
-     '{"margin_min":"0/1","mode":"TS","n_checked":1,"pattern":"digraph(v=6,e=5'
+     '{"mode":"TS","n_checked":1,"pattern":"digraph(v=6,e=5'
      ')","samples":4,"violation":{"direction":"ViolatesTS","pattern":null,"thr'
      'eshold":"2/1","value":"9/8"}}\n'),
     (["orient-tree", "--file", "tree.txt", "--json"],
@@ -681,7 +684,7 @@ def test_golden_refuted_path_certificate_files(tmp_path, capsys):
     prefix = str(tmp_path / "viol")
     out = run_cli(capsys, "verify", "--mode", "tas", "--pattern", "><>>><",
                   "--max-n", "3", "--json", "--out", prefix)
-    assert out == (0, '{"margin_min":"0/1","mode":"TAS","n_checked":2,"pattern":"><>>><",'
+    assert out == (0, '{"mode":"TAS","n_checked":2,"pattern":"><>>><",'
                       '"samples":3,"violation":{"direction":"ViolatesTAS","pattern":"><>>><",'
                       '"threshold":"2/1","value":"71/32"}}\n', "")
     assert (tmp_path / "viol.wt").read_text() == "wtournament n=2\n1/2 0/1\n1/1 1/2\n"
