@@ -106,14 +106,8 @@ def _load_host(args):
 
 def _cmd_hom(args) -> int:
     host = _load_host(args)
-    if getattr(args, "float_backend", False) and hasattr(host, "entries"):
-        from .tournament import WeightedTournament, _freeze
-
-        host = WeightedTournament(
-            host.n,
-            _freeze([[float(x) for x in row] for row in host.entries]),
-            loops_half=host.loops_half,
-        )
+    if args.float_backend:
+        host = [[float(x) for x in row] for row in hom.host_entries(host)[1]]
     if args.pattern_cycle:
         res = hom.hom_cycle(args.pattern_cycle, host)
         label = f"cycle {args.pattern_cycle}"

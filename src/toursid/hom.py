@@ -5,22 +5,32 @@ vertex maps; the density divides by n^v(D).  Hosts may be unweighted
 tournaments (0/1, no loops), weighted tournaments, skew matrices, or raw
 square matrices; exactness follows the entry type.
 
+Exact hosts are counted in integers.  _scale multiplies a rational host by
+the lcm L of its denominators; the evaluators run on the integer rows L*A,
+and a count over k arcs is divided by L^k once at the end.  A host with any
+Fraction entry gives a Fraction (for k >= 1), an all-int host an int; float
+hosts run unscaled, as floats.
+
 Evaluators:
 
 * contract    -- the kernel for every pattern and a whole stack of hosts at
                  once: eliminates the pattern's vertices one by one, each step
                  one einsum (the tree-decomposition method of Diaz, Serna and
                  Thilikos, "Counting H-colorings of partial k-trees", TCS
-                 2002).  Object arrays of ints or Fractions keep it exact.
-* hom_count   -- contract on one host, as a HomCount; hom_cycle applies it
-                 to an oriented cycle.
+                 2002).  The elimination plan depends only on the pattern and
+                 is cached.  Integer stacks run in int64 when fits_int64
+                 bounds every partial sum below 2^63, and in object ints
+                 otherwise; object arrays of Fractions stay exact too.
+* hom_count   -- contract on one host's scaled rows, as a HomCount;
+                 hom_cycle applies it to an oriented cycle.
 * hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T} on one
-                 host, for `hom --pattern-path` and construct; tests check
-                 the kernel against it.  _chain returns its row vectors
-                 after each factor; the signed moments 1^T B^k 1 read the
-                 same vectors.
-* hom_generic -- the brute-force sum over all n^v maps, kept as the
-                 independent oracle for certificates and tests.
+                 host's scaled rows, for `hom --pattern-path` and construct;
+                 tests check the kernel against it.  _chain returns its row
+                 vectors after each factor; the signed moments 1^T B^k 1 read
+                 the same vectors.
+* hom_generic -- the brute-force sum over all n^v maps on the scaled rows,
+                 its own loop, kept as the independent oracle for
+                 certificates and tests.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
                  kernel; cycle densities normalize by n^length (the vertex
                  count), path densities by n^(edges+1).
@@ -30,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 from string import ascii_letters
 
 import numpy as np
@@ -40,6 +52,7 @@ from .errors import CapExceeded, TooShort
 from .tournament import SkewMatrix, Tournament, WeightedTournament
 
 GENERIC_CAP = 10**9
+INT64_LIMIT = 2**63
 
 
 def host_entries(host) -> tuple[int, list[list]]:
@@ -68,11 +81,48 @@ class HomCount:
         return self.raw / scale
 
 
+@dataclass(frozen=True)
+class _Scaled:
+    """A host's rows as the integers L*A; inexact rows stay as they are, L = 1."""
+
+    rows: list
+    lcm: int
+    exact: bool
+    frac: bool  # some entry is a Fraction: counts come back as Fractions
+
+    def unscale(self, total, k: int):
+        """A count over k arcs of the scaled rows, on the host's own scale."""
+        return Fraction(total, self.lcm**k) if self.frac and k else total
+
+
+def _scale(rows) -> _Scaled:
+    """Scale exact rows by the lcm of their denominators to integers."""
+    flat = [x for row in rows for x in row]
+    if not all(isinstance(x, (Fraction, int)) for x in flat):
+        return _Scaled(rows, 1, False, False)
+    m = lcm(*(x.denominator for x in flat))
+    ints = [[x.numerator * (m // x.denominator) for x in row] for row in rows]
+    return _Scaled(ints, m, True, any(isinstance(x, Fraction) for x in flat))
+
+
+def fits_int64(n: int, v: int, e: int, m: int) -> bool:
+    """Whether int64 counts a v-vertex, e-arc pattern exactly on n-vertex
+    hosts whose entries satisfy |entry| <= m.
+
+    Every factor contract builds, and every partial product and partial sum
+    inside its einsums, sums at most n^v products of at most e entries and
+    ones, so its absolute value is at most n^v * max(m, 1)^e.
+    """
+    return n**v * max(m, 1) ** e < INT64_LIMIT
+
+
 def hom_generic(d: Digraph, host) -> HomCount:
     """Brute-force sum over all |V(host)|^v(d) maps."""
-    n, a = host_entries(host)
+    n, rows = host_entries(host)
     if n ** d.v > GENERIC_CAP:
         raise CapExceeded(f"{n}^{d.v} maps exceed the generic cap")
+    s = _scale(rows)
+    a = s.rows
     arcs = sorted(d.arcs)
     total = 0
     for phi in product(range(n), repeat=d.v):
@@ -82,7 +132,7 @@ def hom_generic(d: Digraph, host) -> HomCount:
             if not p:
                 break
         total += p
-    return HomCount(total, n, d.v)
+    return HomCount(s.unscale(total, d.e), n, d.v)
 
 
 def _chain(a, n: int, dirs) -> list[list]:
@@ -103,8 +153,9 @@ def _chain(a, n: int, dirs) -> list[list]:
 def hom_path(o, host) -> HomCount:
     """1^T M_1 ... M_e 1 where M_i = A for forward edges and A^T for backward."""
     o = as_orientation(o)
-    n, a = host_entries(host)
-    return HomCount(sum(_chain(a, n, o.dirs)[-1]), n, o.v)
+    n, rows = host_entries(host)
+    s = _scale(rows)
+    return HomCount(s.unscale(sum(_chain(s.rows, n, o.dirs)[-1]), o.e), n, o.v)
 
 
 def contract(d: Digraph, a, open_arc=None):
@@ -120,51 +171,89 @@ def contract(d: Digraph, a, open_arc=None):
     With open_arc=(u, w) that arc is left out and u, w stay as two trailing
     axes: entry [..., i, j] sums the other arcs' product over the maps with
     u -> i and w -> j, which is that arc's share of dh/dA(i, j).
+
+    An integer stack runs in int64 when fits_int64 holds for its largest
+    |entry|, checked once before any arithmetic, and in object ints
+    otherwise.
     """
     n = a.shape[-1]
+    if a.dtype.kind in "biu":
+        m = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+        a = a.astype(np.int64 if fits_int64(n, d.v, d.e, m) else object)
     keep = tuple(open_arc) if open_arc is not None else ()
-    factors: dict[tuple[int, ...], np.ndarray] = {}
+    init, steps, final, spec = _plan(tuple(d.arcs), d.v, keep)
+    parts = {"a": a, "t": np.swapaxes(a, -1, -2), "1": np.ones(n, dtype=a.dtype)}
+    factors = {}
+    for labels, names in init:
+        t = parts[names[0]]
+        for name in names[1:]:
+            t = t * parts[name]
+        factors[labels] = t
+    for keys, step_spec, rest in steps:
+        t = np.einsum(step_spec, *(factors.pop(k) for k in keys))
+        factors[rest] = factors[rest] * t if rest in factors else t
+    # an object einsum returns a bare scalar where it sums out every label;
+    # as an einsum operand numpy would turn an int scalar into an np.int64
+    out = np.einsum(spec, *(np.asarray(factors[k], dtype=a.dtype) for k in final))
+    out = np.asarray(out, dtype=a.dtype)
+    return np.broadcast_to(out, a.shape[:-2] + (n,) * len(keep))
 
-    def add(labels, t):
-        factors[labels] = factors[labels] * t if labels in factors else t
 
-    for u, w in d.arcs:
-        if (u, w) == open_arc:
+@lru_cache(maxsize=512)
+def _plan(arcs: tuple, v: int, keep: tuple) -> tuple:
+    """contract's elimination, worked out once per pattern.
+
+    Returns the initial factors (labels, then the parts "a", "t" = A^T or
+    "1" multiplied in order), the steps (operand labels, einsum spec, the
+    labels the result joins) and the final operand labels with their spec.
+    """
+    parts: dict[tuple[int, ...], list[str]] = {}
+    for u, w in arcs:
+        if (u, w) == keep:
             continue
         if u < w:
-            add((u, w), a)
+            parts.setdefault((u, w), []).append("a")
         else:
-            add((w, u), np.swapaxes(a, -1, -2))
-    for x in set(range(d.v)) - _vertices(factors):
-        add((x,), np.ones(n, dtype=a.dtype))
-    todo = set(range(d.v)) - set(keep)
+            parts.setdefault((w, u), []).append("t")
+    for x in set(range(v)) - _vertices(parts):
+        parts.setdefault((x,), []).append("1")
+    live = dict.fromkeys(parts)  # insertion-ordered, as the factors are
+    steps = []
+    todo = set(range(v)) - set(keep)
     while todo:
-        x = min(todo, key=lambda y: (len(_vertices(k for k in factors if y in k)), y))
+        x = min(todo, key=lambda y: (len(_vertices(k for k in live if y in k)), y))
         todo.remove(x)
-        on_x = {k: factors.pop(k) for k in list(factors) if x in k}
+        on_x = tuple(k for k in live if x in k)
+        for k in on_x:
+            del live[k]
         rest = tuple(sorted(_vertices(on_x) - {x}))
-        add(rest, _einsum(on_x, rest))
-    out = np.asarray(_einsum(factors, keep), dtype=a.dtype)
-    return np.broadcast_to(out, a.shape[:-2] + (n,) * len(keep))
+        steps.append((on_x, _spec(on_x, rest), rest))
+        live.setdefault(rest)
+    init = tuple((k, tuple(p)) for k, p in parts.items())
+    return init, tuple(steps), tuple(live), _spec(tuple(live), keep)
 
 
 def _vertices(labels) -> set[int]:
     return {x for k in labels for x in k}
 
 
-def _einsum(factors: dict, out: tuple[int, ...]):
-    """One einsum over the factors, with letters local to this step."""
-    letter = {x: ascii_letters[i] for i, x in enumerate(sorted(_vertices(factors)))}
-    spec = ",".join("..." + "".join(letter[x] for x in k) for k in factors)
-    return np.einsum(spec + "->..." + "".join(letter[x] for x in out), *factors.values())
+def _spec(keys: tuple, out: tuple[int, ...]) -> str:
+    """One einsum spec over factors with these labels, letters local to it."""
+    letter = {x: ascii_letters[i] for i, x in enumerate(sorted(_vertices(keys)))}
+    spec = ",".join("..." + "".join(letter[x] for x in k) for k in keys)
+    return spec + "->..." + "".join(letter[x] for x in out)
 
 
 def hom_count(d: Digraph, host) -> HomCount:
     """h_D on one host through the kernel; exact when every entry is."""
     n, rows = host_entries(host)
-    exact = all(isinstance(x, (Fraction, int)) for row in rows for x in row)
-    a = np.array(rows, dtype=object if exact else float)
-    return HomCount(contract(d, a).item(), n, d.v)
+    s = _scale(rows)
+    if s.exact:
+        m = max(abs(x) for row in s.rows for x in row)
+        a = np.array(s.rows, dtype=np.int64 if fits_int64(n, d.v, d.e, m) else object)
+    else:
+        a = np.array(rows, dtype=float)
+    return HomCount(s.unscale(contract(d, a).item(), d.e), n, d.v)
 
 
 def hom_cycle(c, host) -> HomCount:
@@ -179,7 +268,8 @@ def s_moment(b: SkewMatrix, power: int):
 
 def s_moments_up_to(b: SkewMatrix, top: int) -> dict[int, object]:
     """All signed moments 1^T B^k 1 for 0 <= k <= top, one vector pass."""
-    return {k: sum(vec) for k, vec in enumerate(_chain(b.entries, b.n, (1,) * top))}
+    s = _scale(b.entries)
+    return {k: s.unscale(sum(vec), k) for k, vec in enumerate(_chain(s.rows, b.n, (1,) * top))}
 
 
 def t_kernel_path(b: SkewMatrix, edges: int):

@@ -231,10 +231,11 @@ def refute(
 
     For n = 1..n_max in turn, one kernel call counts the pattern in every
     half-loop tournament host at once.  It runs on the integer matrices 2A,
-    so it yields 2^e h exactly, to be compared with n^v.  At the first n
-    with a strict violation, the lowest-index violating host is rebuilt and
-    rechecked on hom_generic before it becomes the certificate.  budget
-    counts optimizer restarts; 0 skips stage 2.
+    in int64 under the kernel's overflow guard, so it yields 2^e h exactly,
+    to be compared with n^v.  At the first n with a strict violation, the
+    lowest-index violating host is rebuilt and rechecked on hom_generic
+    before it becomes the certificate.  budget counts optimizer restarts;
+    0 skips stage 2.
     """
     if mode not in (MODE_TAS, MODE_TS):
         raise ValueError("mode must be 'TAS' or 'TS'")
@@ -248,13 +249,13 @@ def refute(
     samples = 0
     for n in range(1, n_max + 1):
         adj = tournament_stack(n)
-        counts = contract(d, (2 * adj + np.eye(n, dtype=adj.dtype)).astype(object))
+        counts = contract(d, 2 * adj + np.eye(n, dtype=adj.dtype))
         target = n**d.v
         samples += len(adj)
         hits = np.flatnonzero(_violates(mode, counts, target))
         if hits.size:
             host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
-            value = Fraction(counts[hits[0]], 2**d.e)
+            value = Fraction(int(counts[hits[0]]), 2**d.e)
             _independent_recheck(d, host, value)
             direction = (
                 CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from toursid import search
 from toursid.cli import main
 from toursid.core import format_tree_text, tree, format_digraph_text, digraph
 
@@ -339,6 +341,39 @@ def test_hom_float_backend(tmp_path, capsys):
     assert abs(payload["h"] - 36.046875) < 1e-9
 
 
+def test_json_counts_are_python_ints_or_fraction_strings(tmp_path, capsys):
+    # numbers from the int64 kernel must leave as Python ints or exact
+    # "p/q" strings; a numpy scalar would not reach the JSON writer
+    (tmp_path / "host.t").write_text("tournament n=3\n010\n001\n100\n")
+    (tmp_path / "square.dg").write_text("digraph v=4\n0 1\n1 2\n2 3\n0 3\n")
+    runs = [
+        ["verify", "--mode", "tas", "--pattern", ">>><<", "--max-n", "5", "--json"],
+        ["verify", "--mode", "tas", "--pattern", "><>>><", "--max-n", "4", "--json"],
+        ["verify", "--mode", "ts", "--pattern-file", str(tmp_path / "square.dg"),
+         "--max-n", "4", "--json"],
+    ]
+    for flags in ([], ["--no-loops"]):
+        for pattern in (["--pattern-path", ">><"], ["--pattern-cycle", ">><"],
+                        ["--pattern-file", str(tmp_path / "square.dg")]):
+            runs.append(["hom", *pattern, "--host-file", str(tmp_path / "host.t"), *flags,
+                         "--json"])
+    fraction = re.compile(r"-?\d+/\d+")
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        numbers = [payload["n_checked"], payload["samples"]] if argv[0] == "verify" else []
+        assert all(type(x) is int for x in numbers)
+        exact = [payload.get("h"), payload.get("t")]
+        if payload.get("violation"):
+            exact = [payload["violation"]["threshold"], payload["violation"]["value"]]
+        assert all(x is None or fraction.fullmatch(x) for x in exact)
+    report = search.refute("><>>><", "TAS", n_max=4)
+    value = report.violation.value
+    assert type(report.samples) is int and type(report.n_checked) is int
+    assert type(value.numerator) is int and type(value.denominator) is int
+
+
 def test_verify_writes_certificate_files(tmp_path, capsys):
     prefix = str(tmp_path / "viol")
     code, out, _ = run_cli(
@@ -359,6 +394,7 @@ GOLDEN_FILES = {
     "tree6.dg": "digraph v=6\n0 1\n2 1\n1 3\n3 4\n5 3\n",
     "host.wt": "wtournament n=3\n1/2 99/100 0\n1/100 1/2 1\n1 0 1/2\n",
     "host.t": "tournament n=3\n011\n001\n000\n",
+    "cyclic.t": "tournament n=3\n010\n001\n100\n",
     "tree.txt": "tree v=3\n0 1\n1 2\n",
     "spider.txt": "tree v=7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n",
     "legs.txt": "tree v=10\n0 1\n1 2\n0 3\n3 4\n4 5\n0 6\n6 7\n7 8\n8 9\n",
@@ -626,6 +662,18 @@ GOLDEN_COMMANDS = [
     (["hom", "--pattern-path", ">><<>", "--host-file", "host.wt", "--float"],
      'h = 22.781694039999998\n'
      't = 0.031250609108367626\n'),
+    # Loop-free unweighted hosts.  These were added later: --float used to
+    # be ignored here (printing "h = 3/1"), and the digraph and cycle counts
+    # came back as numpy integers, printed as "h = 3" / "t = 0.111..." and
+    # rejected by the JSON writer.
+    (["hom", "--pattern-path", ">>", "--host-file", "cyclic.t", "--no-loops", "--float"],
+     'h = 3.0\n'
+     't = 0.1111111111111111\n'),
+    (["hom", "--pattern-cycle", ">>>", "--host-file", "cyclic.t", "--no-loops"],
+     'h = 3/1\n'
+     't = 1/9\n'),
+    (["hom", "--pattern-file", "tree6.dg", "--host-file", "cyclic.t", "--no-loops", "--json"],
+     '{"h":"3/1","pattern":"digraph v=6","t":"1/243"}\n'),
     (["classify-cycle", ">><", "--json"],
      '{"counts":{"c_2p3":0,"c_min_k":null,"c_p3":-1,"c_p5":0,"min_k":null},"e"'
      ':3,"flips":1,"input":">><","rule":"wedges-cycle:case(i)","v":3,"verdict"'

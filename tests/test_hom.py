@@ -288,3 +288,128 @@ def test_hom_count_matches_oracle_on_weighted_and_skew_hosts():
     d = digraph(5, [(0, 1), (1, 2), (2, 0), (3, 2), (3, 4)])
     assert hom_count(d, b).raw == hom_generic(d, b).raw
     assert hom_count(d, b.to_float()).raw == pytest.approx(float(hom_generic(d, b).raw))
+
+
+def fraction_generic(d, rows):
+    """The brute-force map sum over the host's own entries, unscaled: the
+    reference the integer-scaled hom_generic must reproduce."""
+    n = len(rows)
+    arcs = sorted(d.arcs)
+    total = 0
+    for phi in product(range(n), repeat=d.v):
+        p = 1
+        for u, w in arcs:
+            p = p * rows[phi[u]][phi[w]]
+            if not p:
+                break
+        total += p
+    return total
+
+
+def _seeded_exact_hosts():
+    """Rationalized float hosts (denominators up to 10^4), skew hosts with
+    negative entries and mixed int/Fraction rows, three of each."""
+    from toursid.search import rationalize_host
+    from toursid.tournament import WeightedTournament, _freeze
+
+    rng = np.random.default_rng(11)
+    hosts = []
+    for n in (3, 4, 4):
+        b = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
+        floats = WeightedTournament(n, _freeze((0.5 + b - b.T).tolist()), loops_half=True)
+        hosts.append(rationalize_host(floats, 10**4))
+    for n in (3, 4, 4):
+        ent = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                ent[i][j] = Fraction(int(rng.integers(-30, 31)), int(rng.integers(30, 61)))
+                ent[j][i] = -ent[i][j]
+        hosts.append(skew(ent))
+    for n in (2, 3, 4):
+        # ints where i + j is odd, Fractions elsewhere (the diagonal included)
+        rows = [[int(rng.integers(-2, 3)) for _ in range(n)] for _ in range(n)]
+        for i, j in product(range(n), repeat=2):
+            if (i + j) % 2 == 0:
+                rows[i][j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+        hosts.append(rows)
+    return hosts
+
+
+def test_scaled_generic_matches_the_fraction_reference():
+    # same value and same result type on every half-loop host n <= 4 and on
+    # the seeded rational, skew and mixed hosts
+    from toursid.hom import host_entries
+
+    patterns = [path_digraph(parse_orientation(">><")), cycle_digraph(parse_orientation(">><<")),
+                digraph(4, [(0, 1), (2, 1), (1, 3), (3, 0)])]
+    hosts = [with_half_loops(t) for n in (1, 2, 3, 4) for t in enumerate_tournaments(n)]
+    for host in hosts + _seeded_exact_hosts():
+        rows = host_entries(host)[1]
+        for d in patterns:
+            got, want = hom_generic(d, host).raw, fraction_generic(d, rows)
+            assert got == want and type(got) is type(want) is Fraction
+
+
+def test_planned_contract_matches_bruteforce_and_repeats_itself():
+    # the plan is cached per (arcs, v, open arc); replaying it gives the brute
+    # force on floats and the same bits on every call, open arcs included
+    d = digraph(5, [(0, 1), (1, 2), (2, 0), (3, 2), (3, 4)])
+    rng = np.random.default_rng(5)
+    b = np.triu(rng.uniform(-0.5, 0.5, (6, 4, 4)), 1)
+    stack = 0.5 + b - np.swapaxes(b, -1, -2)
+    brute = [hom_generic(d, h.tolist()).raw for h in stack]
+    first = contract(d, stack).copy()
+    assert np.allclose(first, brute, rtol=1e-12, atol=0)
+    assert np.array_equal(contract(d, stack), first)
+    for arc in sorted(d.arcs):
+        opened = contract(d, stack, open_arc=arc).copy()
+        assert np.array_equal(contract(d, stack, open_arc=arc), opened)
+        # closing the open arc with its own factor A(i, j) gives h back
+        assert np.allclose((opened * stack).sum(axis=(-2, -1)), brute, rtol=1e-12, atol=0)
+
+
+def test_int64_object_and_fraction_kernels_agree():
+    # every path with e <= 6 and every cycle with length <= 5 on every host
+    # n <= 4: 2A in int64, 2A in object ints and A in Fractions give one count
+    patterns = [path_digraph(Orientation(dirs))
+                for e in range(1, 7) for dirs in product((1, -1), repeat=e)]
+    patterns += [cycle_digraph(Orientation(dirs))
+                 for ell in (3, 4, 5) for dirs in product((1, -1), repeat=ell)]
+    for n in (1, 2, 3, 4):
+        twice = 2 * tournament_stack(n) + np.eye(n, dtype=np.uint8)
+        fractions = half_loop_stack(n)
+        for d in patterns:
+            fixed = contract(d, twice)
+            objects = contract(d, twice.astype(object))
+            exact = contract(d, fractions)
+            assert fixed.dtype == np.int64 and objects.dtype == object
+            assert fixed.tolist() == objects.tolist() == [2**d.e * x for x in exact]
+
+
+def test_int64_guard_at_its_boundary():
+    from toursid.hom import fits_int64
+
+    assert fits_int64(2, 31, 31, 2) and not fits_int64(2, 32, 31, 2)  # 2^62 | 2^63
+    assert fits_int64(1, 5, 62, 2) and not fits_int64(1, 5, 63, 2)
+    assert fits_int64(3, 39, 0, 0) and not fits_int64(3, 40, 0, 0)  # 3^39 < 2^63 < 3^40
+    assert fits_int64(2, 62, 5, 0) and not fits_int64(2, 63, 5, 0)  # m = 0 bounds as 1
+    assert fits_int64(1, 1, 1, 2**63 - 1) and not fits_int64(1, 1, 1, 2**63)
+
+
+def test_kernel_takes_object_ints_past_the_guard():
+    # 11 vertices and 52 arcs on n = 2 with entries up to 2 bound the count by
+    # exactly 2^63, so the kernel must leave int64; on the all-2 host the
+    # count is 2^63 itself, which int64 cannot hold.  One arc fewer stays in
+    # int64, and the 66-arc transitive pattern is far past the bound.
+    from itertools import combinations
+
+    arcs = list(combinations(range(11), 2))
+    rng = np.random.default_rng(3)
+    stack = np.concatenate([np.full((1, 2, 2), 2), rng.integers(0, 3, (5, 2, 2))])
+    for d, dtype in ((digraph(11, arcs[3:]), object), (digraph(11, arcs[4:]), np.int64),
+                     (digraph(12, list(combinations(range(12), 2))), object)):
+        counts = contract(d, stack)
+        assert counts.dtype == dtype
+        assert counts.tolist() == [hom_generic(d, host.tolist()).raw for host in stack]
+        assert counts[0] == 2 ** (d.v + d.e)
+        assert type(hom_count(d, stack[0].tolist()).raw) is int
