@@ -14,12 +14,15 @@ back Unknown.
 Rule strings are a stable output contract; the full vocabulary:
 
   paths:  impartial:single-edge, wedges:C(P3)>0, wedges:C(P3)<0,
-          P5-2P3:case(i|ii|iii), 2P3:case(i|ii|iii),
+          P5-2P3:case(i|ii|iii), 2P3:case(ii|iii),
           unknown:P5=-2P3, unknown:all-zero
   cycles: wedges-cycle:case(i|ii), wedges-cycle:cycle-parity,
           P5-2P3-cycle:case(i|ii|iii), P5-2P3-cycle:cycle-parity,
-          2P3-cycle:case(i|ii|iii), 2P3-cycle:cycle-parity,
+          2P3-cycle:case(ii|iii), 2P3-cycle:cycle-parity,
           unknown:P5=-2P3, unknown:all-zero
+
+The 2P3 rules have no case(i): no path or cycle reaches it (see
+_tail_direction).
 """
 
 from __future__ import annotations
@@ -85,10 +88,19 @@ def _tail_direction(counts: SignedCounts) -> tuple[Verdict, str] | None:
     if c5 < 0 and c5 < -c23:
         return (Verdict.LTAS, "case(ii)")
     if c5 == 0:
-        # here c23 != 0 because c5 != -c23
-        if c23 > 0 and (k is None or (-1) ** k * ck > 0):
-            return (Verdict.LTS, "2p3(i)")
-        if c23 < 0 and (k is None or (-1) ** k * ck < 0):
+        # Here c23 != 0 because c5 != -c23, and c23 < 0: with C(P3) = C(P5)
+        # = 0, C(2P3) <= 0 on every path and cycle, so the LTS case(i) of
+        # the 2P3 rule cannot occur.  Take the signs s_i = d_i d_(i+1) (L of
+        # them) and y_i = s_i s_(i+1), cyclically on a cycle.  Expanding
+        # C(P3)^2 = (sum s_i)^2 gives C(2P3) = (C(P3)^2 - L)/2 - C(P5) - sum y_i.
+        # C(P5) = sum s_i s_(i+2) = sum y_i y_(i+1) = 0 makes half the
+        # adjacent y pairs differ in sign, so y has L/2 runs (a cycle with
+        # L <= 4 has C(2P3) = 0), alternating in sign: at least floor(L/4)
+        # runs of +1, so sum y_i >= 2 floor(L/4) - (L - 1) on a path and
+        # >= -L/2 on a cycle.  With C(P3) = 0 both give C(2P3) <= 0.
+        if c23 > 0:
+            raise InternalAssertionFailed("C(P3) = C(P5) = 0 with C(2P3) > 0")
+        if k is None or (-1) ** k * ck < 0:
             return (Verdict.LTAS, "2p3(ii)")
         return (Verdict.NEITHER, "2p3(iii)")
     return (Verdict.NEITHER, "case(iii)")

@@ -28,9 +28,9 @@ Evaluators:
                  tests check the kernel against it.  _chain returns its row
                  vectors after each factor; the signed moments 1^T B^k 1 read
                  the same vectors.
-* hom_generic -- the brute-force sum over all n^v maps on the scaled rows,
-                 its own loop, kept as the independent oracle for
-                 certificates and tests.
+* hom_generic -- a blocked numpy brute force over all n^v maps on the
+                 scaled rows, its own guard, no kernel code: the independent
+                 oracle for certificates and tests.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
                  kernel; cycle densities normalize by n^length (the vertex
                  count), path densities by n^(edges+1).
@@ -52,6 +52,7 @@ from .errors import CapExceeded, TooShort
 from .tournament import SkewMatrix, Tournament, WeightedTournament
 
 GENERIC_CAP = 10**9
+GENERIC_BLOCK = 4096  # hom_generic's maps per numpy block
 INT64_LIMIT = 2**63
 
 
@@ -117,22 +118,60 @@ def fits_int64(n: int, v: int, e: int, m: int) -> bool:
 
 
 def hom_generic(d: Digraph, host) -> HomCount:
-    """Brute-force sum over all |V(host)|^v(d) maps."""
+    """Brute-force sum over all |V(host)|^v(d) maps, a block of maps at a time.
+
+    The last k pattern vertices (the tail) take their images from one block
+    of at most GENERIC_BLOCK maps, in itertools.product order; the head
+    vertices before them run through itertools.product.  The arcs inside the
+    tail are multiplied once over the block, the arcs inside the head give
+    one number per head map (a zero skips the block), and the arcs between
+    head and tail are multiplied into the block for each head map.
+
+    Integer rows run in int64 under this function's own guard: every
+    product and block sum is at most n^v * max(|entry|, 1)^e in absolute
+    value, so int64 is exact when that is below 2^63; past it the rows run
+    as object ints.  Float rows run in float64.  Nothing here is shared with
+    contract, so a fault in the kernel or its guard cannot hide in both.
+    """
     n, rows = host_entries(host)
-    if n ** d.v > GENERIC_CAP:
-        raise CapExceeded(f"{n}^{d.v} maps exceed the generic cap")
+    v, arcs = d.v, sorted(d.arcs)
+    if n**v > GENERIC_CAP:
+        raise CapExceeded(f"{n}^{v} maps exceed the generic cap")
     s = _scale(rows)
-    a = s.rows
-    arcs = sorted(d.arcs)
-    total = 0
-    for phi in product(range(n), repeat=d.v):
-        p = 1
-        for u, w in arcs:
-            p = p * a[phi[u]][phi[w]]
-            if not p:
-                break
-        total += p
-    return HomCount(s.unscale(total, d.e), n, d.v)
+    if not arcs or not n:
+        return HomCount(n**v, n, v)  # every map's product is the empty one, the int 1
+    if s.exact:
+        m = max(abs(x) for row in s.rows for x in row)
+        a = np.array(s.rows, dtype=np.int64 if n**v * max(m, 1) ** len(arcs) < 2**63 else object)
+        num = int
+    else:
+        a = np.array(rows, dtype=float)
+        num = float
+    k = 1
+    while k < v and n ** (k + 1) <= GENERIC_BLOCK:
+        k += 1
+    h = v - k
+    # row j holds the images of tail vertex h + j: digit j, base n, of the
+    # block index, most significant first
+    tail = np.arange(n**k) // n ** np.arange(k - 1, -1, -1)[:, None] % n
+    inner = [(u, w) for u, w in arcs if u < h and w < h]
+    across = [(u, w) for u, w in arcs if (u < h) != (w < h)]
+    block = np.ones(n**k, dtype=a.dtype)
+    for u, w in arcs:
+        if u >= h and w >= h:
+            block = block * a[tail[u - h], tail[w - h]]
+    total = num(0)
+    for phi in product(range(n), repeat=h):
+        c = 1
+        for u, w in inner:
+            c = c * a[phi[u], phi[w]]
+        if not c:
+            continue
+        p = block
+        for u, w in across:
+            p = p * (a[phi[u], tail[w - h]] if u < h else a[tail[u - h], phi[w]])
+        total += num(c) * num(p.sum())
+    return HomCount(s.unscale(total, len(arcs)), n, v)
 
 
 def _chain(a, n: int, dirs) -> list[list]:

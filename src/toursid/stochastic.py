@@ -113,7 +113,7 @@ class FGSample:
     n: int
     trials: int
     exhaustive: bool
-    mean_total: float | Fraction
+    mean_total: float | Fraction | None  # None when it would overflow
     std_total: float | None  # sample std of f+g (None when it would overflow)
     mean_log_ratio: float  # mean of ln(x_n)/n
     median_log_ratio: float
@@ -179,7 +179,7 @@ def sample_fg(
         mean_total = float(np.mean(totals))
         std_total = float(np.std(totals))
     else:
-        mean_total, std_total = float("nan"), None
+        mean_total = std_total = None
     return FGSample(n, trials, False, mean_total, std_total,
                     float(np.mean(log_ratio)), float(np.median(log_ratio)),
                     frac, threshold, seed)
@@ -215,31 +215,22 @@ def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     r = 1.0
     min_r, max_r = r, r
     log_sum = 0.0
-    prod = 1.0
-    count = 0
-    tol = 1e-12
-    inside = True
-    chunk = 1 << 16
-    done = 0
-    while done < steps:
-        todo = min(chunk, steps - done)
-        signs = rng.integers(0, 2, size=todo).tolist()
-        for s in signs:
-            r = 1.0 + beta / r if s else 1.0 - beta / r
-            if r < min_r:
-                min_r = r
-            if r > max_r:
-                max_r = r
-            if r < r_low - tol or r > r_high + tol:
-                inside = False
-            prod *= r
-            count += 1
-            if count == RESCALE_EVERY:
-                log_sum += math.log(prod)
-                prod = 1.0
-                count = 0
-        done += todo
-    log_sum += math.log(prod)
+    chunk = 1 << 16  # a multiple of RESCALE_EVERY
+    for done in range(0, steps, chunk):
+        signs = rng.integers(0, 2, size=min(chunk, steps - done))
+        ds = np.where(signs, beta, -beta).tolist()
+        for i in range(0, len(ds), RESCALE_EVERY):
+            prod = 1.0
+            for d in ds[i:i + RESCALE_EVERY]:
+                r = 1.0 + d / r
+                if r < min_r:
+                    min_r = r
+                if r > max_r:
+                    max_r = r
+                prod *= r
+            log_sum += math.log(prod)
+    # r_0 = 1 lies in the support whenever the support is not empty
+    inside = r_low - 1e-12 <= min_r and max_r <= r_high + 1e-12
     return RatioChainResult(beta, steps, seed, r_low, r_high, min_r, max_r,
                             log_sum / steps, inside)
 
@@ -305,35 +296,35 @@ def lyapunov_estimate(
                                     tuple([0.0] * batches))
         t = 1.0  # x_n / x_(n-1)
         for _ in range(batches):
-            signs = rng.integers(0, 2, size=batch_len).tolist()
+            ds = np.where(rng.integers(0, 2, size=batch_len), beta, -beta).tolist()
             acc = 0.0
-            prod = 1.0
-            k = 0
-            for s in signs:
-                t = 1.0 + beta / t if s else 1.0 - beta / t
-                prod *= t
-                k += 1
-                if k == RESCALE_EVERY:
-                    acc += math.log(prod)
-                    prod = 1.0
-                    k = 0
-            acc += math.log(prod)
+            for i in range(0, batch_len, RESCALE_EVERY):
+                prod = 1.0
+                for d in ds[i:i + RESCALE_EVERY]:
+                    t = 1.0 + d / t
+                    prod *= t
+                acc += math.log(prod)
             batch_means.append(acc / batch_len)
     elif mode == "fg":
         f, g = 1.0, 1.0
         prev_ln = 0.0
         logscale = 0.0
         step = 0
-        for _ in range(batches):
+        for b in range(batches):
             bal_arr = rng.integers(0, 2, size=batch_len).tolist()
-            for bal in bal_arr:
-                if step == 0:
-                    bal = 1  # the first vertex indicator is deterministic
-                if bal:
-                    f, g = 0.5 * f + g, 0.5 * g
-                else:
-                    f, g = 0.5 * g + f, 0.5 * f
-                step += 1
+            if b == 0:
+                bal_arr[0] = 1  # the first vertex indicator is deterministic
+            i = 0
+            while i < batch_len:
+                # run up to the next multiple of RESCALE_EVERY steps overall
+                j = min(batch_len, i + RESCALE_EVERY - step % RESCALE_EVERY)
+                for bal in bal_arr[i:j]:
+                    if bal:
+                        f, g = 0.5 * f + g, 0.5 * g
+                    else:
+                        f, g = 0.5 * g + f, 0.5 * f
+                step += j - i
+                i = j
                 if step % RESCALE_EVERY == 0:
                     s = f + g
                     logscale += math.log(s)

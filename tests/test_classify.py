@@ -165,3 +165,42 @@ def test_subdivided_alternating_not_ltas_family():
             c = alternating_cycle(two_ell).subdivided(k)
             res = classify_cycle(c, best_effort=True)
             assert res.verdict is not Verdict.LTAS, (two_ell, k)
+
+
+def test_rules_reached_and_2p3_case_i_is_absent():
+    # every path with 1..12 edges and every cycle of length 3..12 up to
+    # rotation (796 cycles): the rules reached, with the 2P3 case(i) rules
+    # pinned as absent, since C(P3) = C(P5) = 0 forces C(2P3) <= 0 (see
+    # classify._tail_direction)
+    import toursid.classify as classify
+
+    paths, cycles = set(), set()
+    seen = 0
+    for ell in range(1, 13):
+        for dirs in product((1, -1), repeat=ell):
+            res = classify_path(Orientation(dirs), best_effort=True)
+            paths.add(res.rule)
+            c = res.counts
+            assert not (c.c_p3 == 0 and c.c_p5 == 0 and c.c_2p3 > 0)
+            if ell < 3 or dirs != min(dirs[i:] + dirs[:i] for i in range(ell)):
+                continue
+            seen += 1
+            res = classify_cycle(Orientation(dirs), best_effort=True)
+            cycles.add(res.rule)
+            c = res.counts
+            assert not (c.c_p3 == 0 and c.c_p5 == 0 and c.c_2p3 > 0)
+    assert seen == 796
+    assert paths == {
+        "impartial:single-edge", "wedges:C(P3)>0", "wedges:C(P3)<0", "P5-2P3:case(i)",
+        "P5-2P3:case(ii)", "P5-2P3:case(iii)", "2P3:case(ii)", "2P3:case(iii)",
+        "unknown:P5=-2P3", "unknown:all-zero",
+    }
+    assert cycles == {
+        "wedges-cycle:case(i)", "wedges-cycle:case(ii)", "wedges-cycle:cycle-parity",
+        "P5-2P3-cycle:case(i)", "P5-2P3-cycle:case(ii)", "P5-2P3-cycle:case(iii)",
+        "P5-2P3-cycle:cycle-parity", "2P3-cycle:case(ii)", "2P3-cycle:case(iii)",
+        "2P3-cycle:cycle-parity", "unknown:all-zero",
+    }
+    # the vocabulary lists the 2P3 rules without case(i)
+    assert "2P3:case(ii|iii)," in classify.__doc__
+    assert "2P3-cycle:case(ii|iii)," in classify.__doc__

@@ -273,6 +273,16 @@ def test_fg_exhaustive(capsys):
     assert payload["mean_total"] == "2/1"
 
 
+def test_fg_sample_past_the_float_range_is_strict_json(capsys):
+    # past 256 steps mean_total would overflow: it is null, never NaN
+    code, out, _ = run_cli(capsys, "fg", "--sample", "257", "3", "--seed", "1")
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert code == 0 and json.loads(out, parse_constant=reject)["mean_total"] is None
+
+
 def test_localwalk(capsys):
     code, out, _ = run_cli(capsys, "localwalk", "--steps", "4")
     payload = json.loads(out)
@@ -637,8 +647,8 @@ GOLDEN_COMMANDS = [
      '{"f":"41/16","g":"17/16","orientation":"><><","steps":4,"total":"29/8"}\n'),
     (["fg", "--sample", "300", "400", "--seed", "3"],
      '{"exhaustive":false,"frac_at_least":0.0175,"mean_log_ratio":-0.043722731'
-     '43260374,"mean_total":NaN,"median_log_ratio":-0.043079713676770874,"n":3'
-     '00,"trials":400}\n'),
+     '43260374,"mean_total":null,"median_log_ratio":-0.043079713676770874,"n":'
+     '300,"trials":400}\n'),
     (["fg", "--sample", "10", "1024", "--exhaustive"],
      '{"exhaustive":true,"frac_at_least":0.39453125,"mean_log_ratio":-0.037066'
      '11671728768,"mean_total":"2/1","median_log_ratio":-0.026070548475357884,'

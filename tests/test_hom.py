@@ -63,6 +63,9 @@ def test_all_half_matrix_density():
 def test_generic_cap():
     with pytest.raises(CapExceeded):
         hom_generic(digraph(20, []), with_half_loops(transitive(3)))
+    with pytest.raises(CapExceeded):  # 2^30 > 10^9 >= 2^29
+        hom_generic(digraph(30, []), K2_HOST)
+    assert hom_generic(digraph(29, []), K2_HOST).raw == 2**29
 
 
 def test_hom_path_forward_closed_form():
@@ -290,9 +293,10 @@ def test_hom_count_matches_oracle_on_weighted_and_skew_hosts():
     assert hom_count(d, b.to_float()).raw == pytest.approx(float(hom_generic(d, b).raw))
 
 
-def fraction_generic(d, rows):
-    """The brute-force map sum over the host's own entries, unscaled: the
-    reference the integer-scaled hom_generic must reproduce."""
+def map_loop(d, rows):
+    """The brute-force map sum, one map at a time in pure Python, over the
+    host's own entries, unscaled: the reference the blocked, integer-scaled
+    hom_generic must reproduce in value and type."""
     n = len(rows)
     arcs = sorted(d.arcs)
     total = 0
@@ -346,8 +350,45 @@ def test_scaled_generic_matches_the_fraction_reference():
     for host in hosts + _seeded_exact_hosts():
         rows = host_entries(host)[1]
         for d in patterns:
-            got, want = hom_generic(d, host).raw, fraction_generic(d, rows)
+            got, want = hom_generic(d, host).raw, map_loop(d, rows)
             assert got == want and type(got) is type(want) is Fraction
+
+
+def test_blocked_generic_matches_the_map_loop():
+    # value and type against the one-map-at-a-time loop, on every path the
+    # blocks can take: int64 rows, object ints past the guard, Fractions,
+    # floats, one vertex, no arcs, n = 1, and patterns spanning many blocks
+    from itertools import combinations
+
+    from toursid.hom import GENERIC_BLOCK, host_entries
+
+    rng = np.random.default_rng(8)
+    # arcs inside the head, inside the tail and across both ways once 3^9
+    # maps split into 9 blocks of 3^7
+    spread = digraph(9, [(0, 1), (1, 5), (8, 0), (4, 6), (6, 7), (7, 3), (2, 8)])
+    small = [digraph(1, []), digraph(3, []), digraph(3, [(0, 2)]),
+             path_digraph(parse_orientation("><<")), cycle_digraph(parse_orientation(">>>"))]
+    half_loop = [with_half_loops(t) for n in (1, 2, 3, 4) for t in enumerate_tournaments(n)]
+    big = [rng.integers(-10**12, 10**12, (n, n)).tolist() for n in (1, 2, 3)]
+    big.append([[10**12] * 3] * 3)
+    floats = [rng.uniform(-1, 1, (n, n)).tolist() for n in (1, 2, 3, 4)]
+    cases = [(d, h) for d in small for h in half_loop + _seeded_exact_hosts() + big + floats]
+    zeros = [[0.0] * 3] * 3  # every head map skipped: still a float 0.0
+    cases += [(spread, h) for h in (half_loop[10], big[2], floats[2], zeros)]  # all n = 3
+    # 66 arcs on n = 2: a count near 2^78, so only object ints hold it
+    transitive66 = digraph(12, list(combinations(range(12), 2)))
+    cases += [(transitive66, [[2, 2], [2, 2]]), (transitive66, [[1, 2], [0, 1]])]
+    for d, host in cases:
+        got, want = hom_generic(d, host).raw, map_loop(d, host_entries(host)[1])
+        assert type(got) is type(want), (d, host)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        else:
+            assert got == want
+    assert 3**9 > 2 * GENERIC_BLOCK
+    assert map_loop(transitive66, [[2, 2], [2, 2]]) == 2**78
+    # entries of 10^12 push the 3-arc path past 2^63 on n = 3
+    assert hom_generic(small[3], big[3]).raw == 3**4 * 10**36 > 2**63
 
 
 def test_planned_contract_matches_bruteforce_and_repeats_itself():

@@ -151,3 +151,88 @@ def test_paper_style_tail_bound_arithmetic():
     val = -F(1, 8) ** 2 / (2 * F(9, 2))
     assert val == -F(1, 576)
     assert val < -F(1, 1000)
+
+
+def _per_step_lyapunov(mode, steps, seed, beta=None, batches=100):
+    """Batch means from a loop that takes one step per iteration, drawing and
+    rescaling exactly as lyapunov_estimate does: the reference for its
+    64-step slices."""
+    import numpy as np
+
+    from toursid.stochastic import RESCALE_EVERY
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    batch_len = steps // batches
+    means = []
+    if mode == "recurrence":
+        t = 1.0
+        for _ in range(batches):
+            acc, prod, k = 0.0, 1.0, 0
+            for s in rng.integers(0, 2, size=batch_len).tolist():
+                t = 1.0 + beta / t if s else 1.0 - beta / t
+                prod *= t
+                k += 1
+                if k == RESCALE_EVERY:
+                    acc += math.log(prod)
+                    prod, k = 1.0, 0
+            acc += math.log(prod)
+            means.append(acc / batch_len)
+        return means
+    f, g, prev_ln, logscale, step = 1.0, 1.0, 0.0, 0.0, 0
+    for _ in range(batches):
+        for bal in rng.integers(0, 2, size=batch_len).tolist():
+            if step == 0:
+                bal = 1
+            f, g = (0.5 * f + g, 0.5 * g) if bal else (0.5 * g + f, 0.5 * f)
+            step += 1
+            if step % RESCALE_EVERY == 0:
+                s = f + g
+                logscale += math.log(s)
+                f, g = f / s, g / s
+        ln_now = logscale + math.log((f + g) / 2.0)
+        means.append((ln_now - prev_ln) / batch_len)
+        prev_ln = ln_now
+    return means
+
+
+def _per_step_ratio_chain(beta, steps, seed):
+    """(min_r, max_r, mean ln r, inside) from a loop that takes one step per
+    iteration: the reference for ratio_chain's 64-step slices."""
+    import numpy as np
+
+    from toursid.stochastic import RESCALE_EVERY
+
+    r_low, r_high = ratio_support(beta)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    r = min_r = max_r = 1.0
+    log_sum, prod, count, inside, done = 0.0, 1.0, 0, True, 0
+    while done < steps:
+        todo = min(1 << 16, steps - done)
+        for s in rng.integers(0, 2, size=todo).tolist():
+            r = 1.0 + beta / r if s else 1.0 - beta / r
+            min_r, max_r = min(min_r, r), max(max_r, r)
+            inside &= r_low - 1e-12 <= r <= r_high + 1e-12
+            prod *= r
+            count += 1
+            if count == RESCALE_EVERY:
+                log_sum += math.log(prod)
+                prod, count = 1.0, 0
+        done += todo
+    log_sum += math.log(prod)
+    return min_r, max_r, log_sum / steps, inside
+
+
+@pytest.mark.parametrize("steps,batches", [(1, 1), (63, 1), (64, 1), (65, 1), (129, 1),
+                                           (640, 10), (1000, 7), (6400, 100), (70001, 3)])
+def test_sliced_loops_match_the_per_step_loops_bit_for_bit(steps, batches):
+    for seed in (0, 5):
+        for beta in (0.125, 0.25, 3 / 64):
+            est = lyapunov_estimate("recurrence", steps, seed, beta=beta, batches=batches)
+            assert list(est.batch_means) == _per_step_lyapunov(
+                "recurrence", steps, seed, beta, batches)
+        for beta in (0.0, 0.125, 0.25, 3 / 64, -1 / 16):  # -1/16: an empty support
+            rc = ratio_chain(beta, steps, seed)
+            assert (rc.min_r, rc.max_r, rc.mean_ln_r, rc.all_inside) == _per_step_ratio_chain(
+                beta, steps, seed)
+        est = lyapunov_estimate("fg", steps, seed, batches=batches)
+        assert list(est.batch_means) == _per_step_lyapunov("fg", steps, seed, batches=batches)
