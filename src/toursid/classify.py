@@ -1,10 +1,11 @@
 """Local Sidorenko classification of oriented paths and cycles.
 
-The path classifier follows the signed-count cascade: the wedge count
+One signed-count cascade (_cascade) serves both kinds: the wedge count
 C(P3) decides immediately when nonzero; otherwise C(P5) vs -C(2P3) decides,
-falling back to the first nonzero higher directed-path count.  The cycle
-classifier runs the same cascade but gates each verdict on the
-(length mod 4, flip parity) table; a parity mismatch yields Neither.
+falling back to the first nonzero higher directed-path count.  On a cycle
+each verdict then passes the (length mod 4, flip parity) gate; a parity
+mismatch yields Neither.  A path is a cycle without its closing edge and no
+gate.
 
 Verdicts are about hosts of the form J/2 + B with small spectral radius of
 B.  For v(D) = 0 (mod 4) the cascade can be degenerate (C(P5) = -C(2P3));
@@ -113,6 +114,54 @@ def _rule_name(tag: str, cycle: bool) -> str:
     return f"{fam}{suffix}:case({case})"
 
 
+def _parity_allows(verdict: Verdict, ell: int, t: int | None) -> bool:
+    """Parity gate for cycle verdicts from the flip-count table; paths (t None) pass."""
+    if t is None or ell % 2 == 1:
+        return True
+    if verdict is Verdict.LTS:
+        return (ell % 4 == 0 and t % 2 == 0) or (ell % 4 == 2 and t % 2 == 1)
+    if verdict is Verdict.LTAS:
+        return (ell % 4 == 0 and t % 2 == 1) or (ell % 4 == 2 and t % 2 == 0)
+    return True
+
+
+def _cascade(counts: SignedCounts, flips: int | None, best_effort: bool, base: dict,
+             message: str) -> Classification:
+    """The signed-count cascade on a path (flips None) or a cycle with t flips.
+
+    base holds input_text, v and e; message is the PreconditionViolated text
+    for v = 0 (mod 4).  A cycle's LTS/LTAS verdict that the flip-parity table
+    forbids becomes Neither under a "cycle-parity" rule.
+    """
+    cycle = flips is not None
+    v = base["v"]
+    pre_ok = v % 4 != 0
+    if not pre_ok and not best_effort:
+        raise PreconditionViolated(message)
+    if cycle and v % 2 == 1 and counts.c_p3 == 0:
+        raise InternalAssertionFailed("C(P3) = 0 on an odd cycle; contradicts the parity lemma")
+    if counts.c_p3 != 0:
+        verdict = Verdict.LTS if counts.c_p3 < 0 else Verdict.LTAS
+        if cycle:
+            rule = "wedges-cycle:case(" + ("i" if verdict is Verdict.LTS else "ii") + ")"
+        else:
+            rule = "wedges:C(P3)<0" if verdict is Verdict.LTS else "wedges:C(P3)>0"
+    elif v % 4 == 2 and counts.c_p5 == -counts.c_2p3:
+        raise InternalAssertionFailed(
+            f"C(P5) = -C(2P3) with {'length' if cycle else 'v'} = 2 (mod 4); "
+            "contradicts the parity lemma"
+        )
+    elif (resolved := _tail_direction(counts)) is None:
+        verdict = Verdict.UNKNOWN
+        rule = ("unknown:all-zero"
+                if counts.c_p5 == 0 and counts.c_2p3 == 0 else "unknown:P5=-2P3")
+    else:
+        verdict, rule = resolved[0], _rule_name(resolved[1], cycle)
+    if not _parity_allows(verdict, v, flips):
+        verdict, rule = Verdict.NEITHER, rule.split(":")[0] + ":cycle-parity"
+    return Classification(verdict, rule, counts, pre_ok, flips=flips, **base)
+
+
 def classify_path(o, best_effort: bool = False) -> Classification:
     """Classify an oriented path as LTS / LTAS / Neither (Algorithm for paths).
 
@@ -122,42 +171,11 @@ def classify_path(o, best_effort: bool = False) -> Classification:
     """
     o = as_orientation(o)
     counts = path_counts(o)
-    base = dict(counts=counts, input_text=str(o), v=o.v, e=o.e)
+    base = dict(input_text=str(o), v=o.v, e=o.e)
     if o.e == 1:
-        return Classification(Verdict.IMPARTIAL, "impartial:single-edge",
-                              preconditions_met=True, **base)
-    pre_ok = o.v % 4 != 0
-    if not pre_ok and not best_effort:
-        raise PreconditionViolated(
-            f"v = {o.v} is divisible by 4; rerun with best_effort for an Unknown-capable pass"
-        )
-    if counts.c_p3 > 0:
-        return Classification(Verdict.LTAS, "wedges:C(P3)>0", preconditions_met=pre_ok, **base)
-    if counts.c_p3 < 0:
-        return Classification(Verdict.LTS, "wedges:C(P3)<0", preconditions_met=pre_ok, **base)
-    if o.v % 4 == 2 and counts.c_p5 == -counts.c_2p3:
-        raise InternalAssertionFailed(
-            "C(P5) = -C(2P3) with v = 2 (mod 4); contradicts the parity lemma"
-        )
-    resolved = _tail_direction(counts)
-    if resolved is None:
-        rule = ("unknown:all-zero"
-                if counts.c_p5 == 0 and counts.c_2p3 == 0 else "unknown:P5=-2P3")
-        return Classification(Verdict.UNKNOWN, rule, preconditions_met=pre_ok, **base)
-    verdict, tag = resolved
-    return Classification(verdict, _rule_name(tag, cycle=False),
-                          preconditions_met=pre_ok, **base)
-
-
-def _parity_allows(verdict: Verdict, ell: int, t: int) -> bool:
-    """Parity gate for cycle verdicts from the flip-count table."""
-    if ell % 2 == 1:
-        return True
-    if verdict is Verdict.LTS:
-        return (ell % 4 == 0 and t % 2 == 0) or (ell % 4 == 2 and t % 2 == 1)
-    if verdict is Verdict.LTAS:
-        return (ell % 4 == 0 and t % 2 == 1) or (ell % 4 == 2 and t % 2 == 0)
-    return True
+        return Classification(Verdict.IMPARTIAL, "impartial:single-edge", counts, True, **base)
+    return _cascade(counts, None, best_effort, base, f"v = {o.v} is divisible by 4; "
+                    "rerun with best_effort for an Unknown-capable pass")
 
 
 def classify_cycle(c, best_effort: bool = False) -> Classification:
@@ -168,35 +186,6 @@ def classify_cycle(c, best_effort: bool = False) -> Classification:
     """
     c = as_cycle(c)
     ell = c.length
-    t = c.flips
-    counts = cycle_counts(c)
-    base = dict(counts=counts, input_text=str(c.orientation), v=ell, e=ell, flips=t)
-    pre_ok = ell % 4 != 0
-    if not pre_ok and not best_effort:
-        raise PreconditionViolated(
-            f"cycle length {ell} is divisible by 4; rerun with best_effort"
-        )
-    if ell % 2 == 1 and counts.c_p3 == 0:
-        raise InternalAssertionFailed("C(P3) = 0 on an odd cycle; contradicts the parity lemma")
-    if counts.c_p3 != 0:
-        want = Verdict.LTS if counts.c_p3 < 0 else Verdict.LTAS
-        if _parity_allows(want, ell, t):
-            case = "i" if want is Verdict.LTS else "ii"
-            return Classification(want, f"wedges-cycle:case({case})",
-                                  preconditions_met=pre_ok, **base)
-        return Classification(Verdict.NEITHER, "wedges-cycle:cycle-parity",
-                              preconditions_met=pre_ok, **base)
-    if ell % 4 == 2 and counts.c_p5 == -counts.c_2p3:
-        raise InternalAssertionFailed(
-            "C(P5) = -C(2P3) with length = 2 (mod 4); contradicts the parity lemma"
-        )
-    resolved = _tail_direction(counts)
-    if resolved is None:
-        rule = ("unknown:all-zero"
-                if counts.c_p5 == 0 and counts.c_2p3 == 0 else "unknown:P5=-2P3")
-        return Classification(Verdict.UNKNOWN, rule, preconditions_met=pre_ok, **base)
-    verdict, tag = resolved
-    rule = _rule_name(tag, cycle=True)
-    if verdict is not Verdict.NEITHER and not _parity_allows(verdict, ell, t):
-        verdict, rule = Verdict.NEITHER, rule.split(":")[0] + ":cycle-parity"
-    return Classification(verdict, rule, preconditions_met=pre_ok, **base)
+    return _cascade(cycle_counts(c), c.flips, best_effort,
+                    dict(input_text=str(c.orientation), v=ell, e=ell),
+                    f"cycle length {ell} is divisible by 4; rerun with best_effort")

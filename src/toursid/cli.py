@@ -14,12 +14,17 @@ import sys
 from fractions import Fraction
 
 from . import classify, construct, core, hom, search, signed, spectral, stochastic, trees
-from .errors import InvalidInput, ToursidError
+from .errors import CapExceeded, InvalidInput, ToursidError
 
 
 def _frac(x) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past Python's int-to-str digit limit
+        raise CapExceeded(
+            f"exact value has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _emit_json(obj) -> None:
@@ -51,23 +56,15 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")] if text else []
 
 
-def _cmd_classify_path(args) -> int:
-    res = classify.classify_path(args.orientation, best_effort=args.best_effort)
+def _cmd_classify(args) -> int:
+    res = args.classify(args.orientation, best_effort=args.best_effort)
     if args.json:
         _emit_json(res.to_json_dict())
     else:
-        _emit_text([f"{res.input_text}: {res.verdict.value} [{res.rule}]"])
-    return 0
-
-
-def _cmd_classify_cycle(args) -> int:
-    res = classify.classify_cycle(args.orientation, best_effort=args.best_effort)
-    if args.json:
-        _emit_json(res.to_json_dict())
-    else:
-        _emit_text(
-            [f"cycle {res.input_text} (flips={res.flips}): {res.verdict.value} [{res.rule}]"]
-        )
+        head = res.input_text
+        if res.flips is not None:
+            head = f"cycle {head} (flips={res.flips})"
+        _emit_text([f"{head}: {res.verdict.value} [{res.rule}]"])
     return 0
 
 
@@ -350,17 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classify-path")
-    p.add_argument("orientation")
-    p.add_argument("--best-effort", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_classify_path)
-
-    p = sub.add_parser("classify-cycle")
-    p.add_argument("orientation")
-    p.add_argument("--best-effort", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_classify_cycle)
+    for name, fn in (("classify-path", classify.classify_path),
+                     ("classify-cycle", classify.classify_cycle)):
+        p = sub.add_parser(name)
+        p.add_argument("orientation")
+        p.add_argument("--best-effort", action="store_true")
+        common(p)
+        p.set_defaults(fn=_cmd_classify, classify=fn)
 
     p = sub.add_parser("counts")
     p.add_argument("orientation")

@@ -140,31 +140,26 @@ class Digraph:
     def e(self) -> int:
         return len(self.arcs)
 
-    def underlying_edges(self) -> set[frozenset[int]]:
-        return {frozenset(a) for a in self.arcs}
-
 
 def digraph(v: int, arcs) -> Digraph:
     return Digraph(v, frozenset(tuple(a) for a in arcs))
 
 
+def _ring_digraph(dirs: tuple[int, ...], v: int) -> Digraph:
+    """Edge i joins i and (i+1) mod v, directed as dirs[i] says."""
+    return digraph(v, [(i, (i + 1) % v) if d == FORWARD else ((i + 1) % v, i)
+                       for i, d in enumerate(dirs)])
+
+
 def path_digraph(o) -> Digraph:
     """The oriented path as a digraph on vertices 0..e."""
     o = as_orientation(o)
-    arcs = []
-    for i, d in enumerate(o.dirs):
-        arcs.append((i, i + 1) if d == FORWARD else (i + 1, i))
-    return digraph(o.v, arcs)
+    return _ring_digraph(o.dirs, o.v)
 
 
 def cycle_digraph(c) -> Digraph:
     c = as_cycle(c)
-    ell = c.length
-    arcs = []
-    for i, d in enumerate(c.orientation.dirs):
-        j = (i + 1) % ell
-        arcs.append((i, j) if d == FORWARD else (j, i))
-    return digraph(ell, arcs)
+    return _ring_digraph(c.orientation.dirs, c.length)
 
 
 def directed_path_digraph(edges: int) -> Digraph:

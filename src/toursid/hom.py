@@ -8,8 +8,8 @@ square matrices; exactness follows the entry type.
 Exact hosts are counted in integers.  _scale multiplies a rational host by
 the lcm L of its denominators; the evaluators run on the integer rows L*A,
 and a count over k arcs is divided by L^k once at the end.  A host with any
-Fraction entry gives a Fraction (for k >= 1), an all-int host an int; float
-hosts run unscaled, as floats.
+Fraction entry gives a Fraction (for k >= 1), a host of Python or numpy
+integers a Python int; float hosts run unscaled, as floats.
 
 Evaluators:
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import Digraph, as_orientation, cycle_digraph
 from .errors import CapExceeded, TooShort
-from .tournament import SkewMatrix, Tournament, WeightedTournament
+from .tournament import SkewMatrix, Tournament, WeightedTournament, _is_exact
 
 GENERIC_CAP = 10**9
 GENERIC_BLOCK = 4096  # hom_generic's maps per numpy block
@@ -97,12 +97,12 @@ class _Scaled:
 
 
 def _scale(rows) -> _Scaled:
-    """Scale exact rows by the lcm of their denominators to integers."""
-    flat = [x for row in rows for x in row]
-    if not all(isinstance(x, (Fraction, int)) for x in flat):
+    """Scale exact rows by the lcm of their denominators to Python integers."""
+    if not _is_exact(rows):
         return _Scaled(rows, 1, False, False)
+    flat = [x for row in rows for x in row]
     m = lcm(*(x.denominator for x in flat))
-    ints = [[x.numerator * (m // x.denominator) for x in row] for row in rows]
+    ints = [[int(x.numerator) * (m // x.denominator) for x in row] for row in rows]
     return _Scaled(ints, m, True, any(isinstance(x, Fraction) for x in flat))
 
 

@@ -35,75 +35,47 @@ class SignedCounts:
         return (self.c_p3, self.c_p5, self.c_2p3)
 
 
-def _window_sums(dirs: tuple[int, ...], width: int) -> int:
+def _window_sums(dirs: tuple[int, ...], width: int, cyclic: bool = False) -> int:
+    """C(P_(width+1)): the sum over width-edge windows of their direction product.
+
+    On a cycle the windows wrap round (read over dirs + dirs); a window uses
+    width+1 distinct vertices, so a cycle needs more than width edges to have one.
+    """
     e = len(dirs)
-    total = 0
-    for i in range(e - width + 1):
-        s = 1
-        for d in dirs[i : i + width]:
-            s *= d
-        total += s
-    return total
+    if cyclic:
+        starts = e if e > width else 0
+        dirs = dirs + dirs
+    else:
+        starts = e - width + 1
+    return sum(math.prod(dirs[i : i + width]) for i in range(starts))
+
+
+def _counts(dirs: tuple[int, ...], cyclic: bool) -> SignedCounts:
+    e = len(dirs)
+    # signs[i] is the P3 window at edges i, i+1; a 2P3 copy is two windows
+    # at least 3 apart, and on a cycle also at least 3 apart the other way round
+    signs = [dirs[i] * dirs[(i + 1) % e] for i in range(e if cyclic else e - 1)]
+    span = e - 2 if cyclic else len(signs)
+    c_2p3 = sum(signs[i] * signs[j]
+                for i in range(len(signs)) for j in range(i + 3, min(len(signs), i + span)))
+    min_k = c_min_k = None
+    for k in range(3, e // 2 + 1):
+        ck = _window_sums(dirs, 2 * k, cyclic)
+        if ck != 0:
+            min_k, c_min_k = k, ck
+            break
+    return SignedCounts(_window_sums(dirs, 2, cyclic), _window_sums(dirs, 4, cyclic),
+                        c_2p3, min_k, c_min_k)
 
 
 def path_counts(o) -> SignedCounts:
     """C(P3), C(P5), C(2P3) and the minimal k >= 3 with C(P_(2k+1)) != 0."""
-    o = as_orientation(o)
-    dirs = o.dirs
-    e = o.e
-    c_p3 = _window_sums(dirs, 2)
-    c_p5 = _window_sums(dirs, 4)
-    signs = [dirs[i] * dirs[i + 1] for i in range(e - 1)]
-    c_2p3 = 0
-    for i in range(len(signs)):
-        for j in range(i + 3, len(signs)):
-            c_2p3 += signs[i] * signs[j]
-    min_k = None
-    c_min_k = None
-    for k in range(3, e // 2 + 1):
-        ck = _window_sums(dirs, 2 * k)
-        if ck != 0:
-            min_k, c_min_k = k, ck
-            break
-    return SignedCounts(c_p3, c_p5, c_2p3, min_k, c_min_k)
-
-
-def _cyclic_window_sum(dirs: tuple[int, ...], width: int) -> int:
-    # a width-w window uses w+1 consecutive vertices, so it needs len > width
-    ell = len(dirs)
-    if ell < width + 1:
-        return 0
-    total = 0
-    for i in range(ell):
-        s = 1
-        for t in range(width):
-            s *= dirs[(i + t) % ell]
-        total += s
-    return total
+    return _counts(as_orientation(o).dirs, cyclic=False)
 
 
 def cycle_counts(c) -> SignedCounts:
-    """Window counts with cyclic wraparound; 2P3 windows must be vertex-disjoint."""
-    c = as_cycle(c)
-    dirs = c.orientation.dirs
-    ell = c.length
-    c_p3 = _cyclic_window_sum(dirs, 2)
-    c_p5 = _cyclic_window_sum(dirs, 4)
-    signs = [dirs[i] * dirs[(i + 1) % ell] for i in range(ell)]
-    c_2p3 = 0
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            gap = j - i
-            if gap >= 3 and ell - gap >= 3:
-                c_2p3 += signs[i] * signs[j]
-    min_k = None
-    c_min_k = None
-    for k in range(3, (ell - 1) // 2 + 1):
-        ck = _cyclic_window_sum(dirs, 2 * k)
-        if ck != 0:
-            min_k, c_min_k = k, ck
-            break
-    return SignedCounts(c_p3, c_p5, c_2p3, min_k, c_min_k)
+    """The same counts on a cycle: windows wrap round, 2P3 windows are vertex-disjoint."""
+    return _counts(as_cycle(c).orientation.dirs, cyclic=True)
 
 
 def _pattern_paths(q: Digraph) -> list[list[int]]:

@@ -2,8 +2,8 @@
 
 Two arithmetic backends coexist: exact `fractions.Fraction` entries for
 certificates and refutation, and floats for spectral work.  A matrix is
-"exact" when every entry is a Fraction or int; operations preserve the
-backend of their input.
+"exact" when every entry is a Fraction or a Python or numpy integer;
+operations preserve the backend of their input.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def _freeze(rows) -> tuple[tuple, ...]:
 
 
 def _is_exact(rows) -> bool:
-    return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
+    """Whether every entry is a Python or numpy integer or a Fraction."""
+    return all(isinstance(x, (Fraction, int, np.integer)) for row in rows for x in row)
 
 
 def _check_square(n: int, rows) -> None:
@@ -54,9 +55,6 @@ class Tournament:
             for j in range(i + 1, self.n):
                 if self.adj[i][j] + self.adj[j][i] != 1:
                     raise InvalidInput(f"pair ({i},{j}) must have exactly one arc")
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return bool(self.adj[i][j])
 
     def arcs(self) -> set[tuple[int, int]]:
         return {(i, j) for i in range(self.n) for j in range(self.n) if self.adj[i][j]}
@@ -98,9 +96,6 @@ class WeightedTournament:
     def is_exact(self) -> bool:
         return _is_exact(self.entries)
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
     def rows(self) -> list[list]:
         return [list(row) for row in self.entries]
 
@@ -135,9 +130,6 @@ class SkewMatrix:
     @property
     def is_exact(self) -> bool:
         return _is_exact(self.entries)
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
 
     def rows(self) -> list[list]:
         return [list(row) for row in self.entries]

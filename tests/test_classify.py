@@ -204,3 +204,33 @@ def test_rules_reached_and_2p3_case_i_is_absent():
     # the vocabulary lists the 2P3 rules without case(i)
     assert "2P3:case(ii|iii)," in classify.__doc__
     assert "2P3-cycle:case(ii|iii)," in classify.__doc__
+
+
+@pytest.mark.parametrize("fn,text,message", [
+    (classify_path, ">>>", "v = 4 is divisible by 4; rerun with best_effort for an "
+                           "Unknown-capable pass"),
+    (classify_cycle, "><><", "cycle length 4 is divisible by 4; rerun with best_effort"),
+])
+def test_precondition_messages(fn, text, message):
+    with pytest.raises(PreconditionViolated) as exc:
+        fn(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind,text,counts,message", [
+    ("path", ">>>>>", (0, 1, -1),
+     "C(P5) = -C(2P3) with v = 2 (mod 4); contradicts the parity lemma"),
+    ("cycle", ">>>>>>", (0, 1, -1),
+     "C(P5) = -C(2P3) with length = 2 (mod 4); contradicts the parity lemma"),
+    ("cycle", ">>>>>", (0, 1, 0), "C(P3) = 0 on an odd cycle; contradicts the parity lemma"),
+])
+def test_parity_lemma_asserts(kind, text, counts, message, monkeypatch):
+    # no orientation reaches these asserts, so feed the cascade impossible counts
+    from toursid import classify
+    from toursid.errors import InternalAssertionFailed
+    from toursid.signed import SignedCounts
+
+    monkeypatch.setattr(classify, f"{kind}_counts", lambda _: SignedCounts(*counts))
+    with pytest.raises(InternalAssertionFailed) as exc:
+        getattr(classify, f"classify_{kind}")(text)
+    assert str(exc.value) == message

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toursid import search
 from toursid.cli import main
@@ -287,6 +292,27 @@ def test_localwalk(capsys):
     code, out, _ = run_cli(capsys, "localwalk", "--steps", "4")
     payload = json.loads(out)
     assert payload["p_zero"] == "3/8"
+
+
+@pytest.mark.parametrize("argv", [
+    ["localwalk", "--steps", "15000"],
+    ["fg", "--orientation", ">" * 15000],
+], ids=["localwalk", "fg"])
+def test_values_past_the_digit_limit_are_a_structured_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "CapExceeded"
+
+
+def test_localwalk_just_under_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "localwalk", "--steps", "14000")
+    assert (code, err) == (0, "")
+    p_zero = Fraction(math.comb(14000, 7000), 2**14000)
+    payload = json.loads(out)
+    assert payload["steps"] == 14000
+    assert Fraction(payload["p_zero"]) == p_zero
+    assert Fraction(payload["p_pos"]) == Fraction(payload["p_neg"]) == (1 - p_zero) / 2
 
 
 def test_sparse(capsys):
@@ -748,3 +774,33 @@ def test_golden_refuted_path_certificate_files(tmp_path, capsys):
     assert (tmp_path / "viol.wt").read_text() == "wtournament n=2\n1/2 0/1\n1/1 1/2\n"
     assert (tmp_path / "viol.json").read_text() == (
         '{"direction":"ViolatesTAS","pattern":"><>>><","threshold":"2/1","value":"71/32"}\n')
+
+
+_ORIENTATION = st.text(alphabet="<>RLx-", max_size=30)
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["classify-path", "classify-cycle"]), _ORIENTATION,
+              st.lists(st.sampled_from(["--best-effort", "--json"]), unique=True))
+    .map(lambda t: [t[0], t[1], *t[2]]),
+    st.tuples(_ORIENTATION, st.lists(st.sampled_from(["--cycle", "--json"]), unique=True))
+    .map(lambda t: ["counts", t[0], *t[1]]),
+    _ORIENTATION.map(lambda o: ["fg", "--orientation", o]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FUZZ_ARGV)
+def test_orientation_commands_keep_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}

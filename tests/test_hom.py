@@ -454,3 +454,17 @@ def test_kernel_takes_object_ints_past_the_guard():
         assert counts.tolist() == [hom_generic(d, host.tolist()).raw for host in stack]
         assert counts[0] == 2 ** (d.v + d.e)
         assert type(hom_count(d, stack[0].tolist()).raw) is int
+
+
+def test_numpy_integer_hosts_count_exactly_in_python_ints():
+    import warnings
+
+    small = np.array([[3, 1], [0, 3]])
+    big = np.full((2, 2), 2**40, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for host, o, want in ((small, ">>", 24), (big, ">>>", 2**124)):
+            for got in (hom_count(path_digraph(o), host).raw,
+                        hom_generic(path_digraph(o), host).raw,
+                        hom_path(o, host).raw):
+                assert type(got) is int and got == want

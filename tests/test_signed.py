@@ -102,7 +102,7 @@ def test_window_equals_generic_exhaustive():
 
 
 def test_cycle_window_equals_generic():
-    for ell in (3, 4, 5, 6, 7):
+    for ell in range(3, 10):
         for dirs in product((1, -1), repeat=ell):
             o = Orientation(dirs)
             host = cycle_digraph(o)
@@ -110,6 +110,13 @@ def test_cycle_window_equals_generic():
             assert c.c_p3 == signed_count(P3, host)
             assert c.c_p5 == signed_count(P5, host)
             assert c.c_2p3 == signed_count(TWO_P3, host)
+            if ell >= 7:
+                # the wrapped width-6 windows, read through min_k / c_min_k
+                c_p7 = signed_count(P7, host)
+                if c_p7:
+                    assert (c.min_k, c.c_min_k) == (3, c_p7)
+                else:
+                    assert c.min_k != 3
 
 
 def test_cycle_fixtures():
