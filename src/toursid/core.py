@@ -298,8 +298,18 @@ def format_digraph_text(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reject_repeats(pairs, what: str, key=tuple) -> None:
+    """Raise InvalidInput at the first repeated pair: a set would count it once."""
+    seen = set()
+    for pair in pairs:
+        if key(pair) in seen:
+            raise InvalidInput(f"repeated {what} {pair[0]} {pair[1]}")
+        seen.add(key(pair))
+
+
 def parse_digraph_text(text: str) -> Digraph:
     _, v, arcs = _read_text(text, {"digraph v": _pair})
+    _reject_repeats(arcs, "arc")
     return digraph(v, arcs)
 
 
@@ -311,4 +321,5 @@ def format_tree_text(t: Tree) -> str:
 
 def parse_tree_text(text: str) -> Tree:
     _, v, edges = _read_text(text, {"tree v": _pair})
+    _reject_repeats(edges, "edge", frozenset)
     return tree(v, edges)

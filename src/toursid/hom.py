@@ -21,6 +21,9 @@ Evaluators:
                  is cached.  Integer stacks run in int64 when fits_int64
                  bounds every partial sum below 2^63, and in object ints
                  otherwise; object arrays of Fractions stay exact too.
+* contract_grad -- dh/dA for every host in a stack in one reverse sweep
+                 through the same plan, for the optimizer's gradient; float
+                 and object stacks, integer stacks as object ints.
 * hom_count   -- contract on one host's scaled rows, as a HomCount;
                  hom_cycle applies it to an oriented cycle.
 * hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T} on one
@@ -197,7 +200,7 @@ def hom_path(o, host) -> HomCount:
     return HomCount(s.unscale(sum(_chain(s.rows, n, o.dirs)[-1]), o.e), n, o.v)
 
 
-def contract(d: Digraph, a, open_arc=None):
+def contract(d: Digraph, a):
     """h_D of every host in a stack a[..., n, n]; returns shape (...).
 
     Each arc is a factor on its two end vertices.  The vertex with the
@@ -207,58 +210,112 @@ def contract(d: Digraph, a, open_arc=None):
     appear.  Each einsum names only the vertices of its own step, so long
     patterns stay within einsum's 52 letters.
 
-    With open_arc=(u, w) that arc is left out and u, w stay as two trailing
-    axes: entry [..., i, j] sums the other arcs' product over the maps with
-    u -> i and w -> j, which is that arc's share of dh/dA(i, j).
-
     An integer stack runs in int64 when fits_int64 holds for its largest
     |entry|, checked once before any arithmetic, and in object ints
     otherwise.
     """
-    n = a.shape[-1]
     if a.dtype.kind in "biu":
         m = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-        a = a.astype(np.int64 if fits_int64(n, d.v, d.e, m) else object)
-    keep = tuple(open_arc) if open_arc is not None else ()
-    init, steps, final, spec = _plan(tuple(d.arcs), d.v, keep)
-    parts = {"a": a, "t": np.swapaxes(a, -1, -2), "1": np.ones(n, dtype=a.dtype)}
-    factors = {}
-    for labels, names in init:
-        t = parts[names[0]]
-        for name in names[1:]:
-            t = t * parts[name]
-        factors[labels] = t
-    for keys, step_spec, rest in steps:
-        t = np.einsum(step_spec, *(factors.pop(k) for k in keys))
-        factors[rest] = factors[rest] * t if rest in factors else t
-    # an object einsum returns a bare scalar where it sums out every label;
-    # as an einsum operand numpy would turn an int scalar into an np.int64
-    out = np.einsum(spec, *(np.asarray(factors[k], dtype=a.dtype) for k in final))
-    out = np.asarray(out, dtype=a.dtype)
-    return np.broadcast_to(out, a.shape[:-2] + (n,) * len(keep))
+        a = a.astype(np.int64 if fits_int64(a.shape[-1], d.v, d.e, m) else object)
+    out = _eliminate(_plan(tuple(d.arcs), d.v), a)[()]
+    if a.dtype == object:  # an object einsum returns a bare scalar where it sums out every label
+        out = np.asarray(out, dtype=object)
+    if out.shape != a.shape[:-2]:  # an arc-free pattern: no factor holds the stack's axes
+        out = np.broadcast_to(out, a.shape[:-2])
+    return out
+
+
+def contract_grad(d: Digraph, a):
+    """dh_D/dA of every host in a stack a[..., n, n], in one reverse sweep.
+
+    Entry [..., i, j] is the sum, over the arcs (u, w) and the maps with
+    u -> i and w -> j, of the other arcs' product.  The forward elimination
+    of contract runs once and keeps each step's operands; the steps then
+    run in reverse, each turning the adjoint of its result into the
+    adjoints of its operands with one einsum per operand (the reverse mode
+    of Baur and Strassen, "The complexity of partial derivatives", TCS
+    1983).  A merge passes the adjoint of its product to each factor times
+    the other.  The adjoints of the arc factors, transposed for the arcs
+    that enter A^T, sum to dh/dA.
+
+    Float stacks run in float64 and object stacks (ints, Fractions) stay
+    exact.  An integer stack runs as object ints: one entry of dh/dA sums
+    over arcs as well as maps, which contract's int64 guard does not bound.
+    """
+    n = a.shape[-1]
+    if a.dtype.kind in "biu":
+        a = a.astype(object)
+    stack = a.reshape((-1, n, n))  # a stack axis keeps object einsums from returning bare scalars
+    plan = _plan(tuple(d.arcs), d.v)
+    tape = []
+    _eliminate(plan, stack, tape)
+    ones = np.ones(n, dtype=a.dtype)
+    adj = {(): np.ones(len(stack), dtype=a.dtype)}
+    for (keys, _, rest, back), (ops, t, old) in zip(reversed(plan.steps), reversed(tape)):
+        g = adj.pop(rest)
+        if old is not None:
+            adj[rest] = g * t
+            g = g * old
+        if len(ops) == 1:  # the eliminated label is on no other operand: ones carry it
+            ops = ops + [ones]
+        for i, (k, spec) in enumerate(zip(keys, back)):
+            adj[k] = np.einsum(spec, g, *ops[:i], *ops[i + 1:])
+    grad = np.zeros_like(stack)
+    for labels, part in plan.init:
+        if part == "a":
+            grad += adj[labels]
+        elif part == "t":
+            grad += adj[labels].swapaxes(-1, -2)
+    return grad.reshape(a.shape)
+
+
+def _eliminate(plan: _Plan, a, tape: list | None = None) -> dict:
+    """Run a plan's steps on the stack a; the last factor is labelled ().
+
+    With a tape, each step appends its operands, its einsum result and the
+    factor that result was merged into (None for a new one).
+    """
+    make = {"a": lambda: a, "t": lambda: a.swapaxes(-1, -2),
+            "1": lambda: np.ones(a.shape[-1], dtype=a.dtype)}
+    factors = {labels: make[part]() for labels, part in plan.init}
+    for keys, spec, rest, _ in plan.steps:
+        ops = [factors.pop(k) for k in keys]
+        t = np.einsum(spec, *ops)
+        old = factors.get(rest)
+        factors[rest] = t if old is None else old * t
+        if tape is not None:
+            tape.append((ops, t, old))
+    return factors
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """contract's elimination for one pattern.
+
+    init: each initial factor's labels and part, "a" = A, "t" = A^T (the arc
+    runs from the higher label to the lower) or "1" = the ones vector (an
+    isolated vertex).  steps: the operand labels, the einsum spec, the
+    labels the result joins, and per operand the spec that turns the
+    result's adjoint and the other operands (then the ones vector on the
+    eliminated label, when it is the only operand) into that operand's
+    adjoint.
+    """
+
+    init: tuple
+    steps: tuple
 
 
 @lru_cache(maxsize=512)
-def _plan(arcs: tuple, v: int, keep: tuple) -> tuple:
-    """contract's elimination, worked out once per pattern.
-
-    Returns the initial factors (labels, then the parts "a", "t" = A^T or
-    "1" multiplied in order), the steps (operand labels, einsum spec, the
-    labels the result joins) and the final operand labels with their spec.
-    """
-    parts: dict[tuple[int, ...], list[str]] = {}
+def _plan(arcs: tuple, v: int) -> _Plan:
+    """contract's elimination, worked out once per pattern."""
+    init = {}
     for u, w in arcs:
-        if (u, w) == keep:
-            continue
-        if u < w:
-            parts.setdefault((u, w), []).append("a")
-        else:
-            parts.setdefault((w, u), []).append("t")
-    for x in set(range(v)) - _vertices(parts):
-        parts.setdefault((x,), []).append("1")
-    live = dict.fromkeys(parts)  # insertion-ordered, as the factors are
+        init[(min(u, w), max(u, w))] = "a" if u < w else "t"
+    for x in set(range(v)) - _vertices(init):
+        init[(x,)] = "1"
+    live = dict.fromkeys(init)  # insertion-ordered, as the factors are
     steps = []
-    todo = set(range(v)) - set(keep)
+    todo = set(range(v))
     while todo:
         x = min(todo, key=lambda y: (len(_vertices(k for k in live if y in k)), y))
         todo.remove(x)
@@ -266,10 +323,11 @@ def _plan(arcs: tuple, v: int, keep: tuple) -> tuple:
         for k in on_x:
             del live[k]
         rest = tuple(sorted(_vertices(on_x) - {x}))
-        steps.append((on_x, _spec(on_x, rest), rest))
+        carry = ((x,),) if len(on_x) == 1 else ()
+        back = tuple(_spec((rest, *on_x[:i], *on_x[i + 1:], *carry), k) for i, k in enumerate(on_x))
+        steps.append((on_x, _spec(on_x, rest), rest, back))
         live.setdefault(rest)
-    init = tuple((k, tuple(p)) for k, p in parts.items())
-    return init, tuple(steps), tuple(live), _spec(tuple(live), keep)
+    return _Plan(tuple(init.items()), tuple(steps))
 
 
 def _vertices(labels) -> set[int]:

@@ -21,7 +21,7 @@ import numpy as np
 from .construct import Certificate, CertDirection, named_kernel, certificate as known_certificate
 from .core import Digraph, Orientation, as_orientation, path_digraph
 from .errors import CapExceeded, InternalAssertionFailed, InvalidHost, PreconditionViolated
-from .hom import contract, hom_count, hom_generic
+from .hom import contract, contract_grad, hom_count, hom_generic
 from .tournament import (
     Tournament,
     WeightedTournament,
@@ -134,10 +134,10 @@ def _hosts(b: np.ndarray) -> np.ndarray:
 def _gradient(d: Digraph, a: np.ndarray) -> np.ndarray:
     """d h / d b_ij (strict upper triangle) for every host in the stack a[..., n, n].
 
-    The kernel with each arc left open in turn gives dh/dA; b_ij moves
-    A(i, j) up and A(j, i) down.
+    One reverse sweep through the kernel gives dh/dA; b_ij moves A(i, j)
+    up and A(j, i) down.
     """
-    dA = sum((contract(d, a, open_arc=arc) for arc in d.arcs), np.zeros_like(a))
+    dA = contract_grad(d, a)
     return np.triu(dA - np.swapaxes(dA, -1, -2), 1)
 
 
@@ -183,7 +183,7 @@ def optimize_density(
     drawn[:, iu, ju] = np.reshape(
         [rng.uniform(-0.5, 0.5) for _ in range(restarts * len(iu))], (restarts, len(iu)))
     b = np.concatenate([_warm_starts(n), drawn])
-    val = contract(d, _hosts(b)).copy()  # the kernel returns a read-only view
+    val = contract(d, _hosts(b)).copy()  # an arc-free pattern gives a read-only broadcast
     accepted = np.full((MAX_ITERS + 1, len(b)), np.nan)  # accepted[t, r]: start r after step t
     accepted[0] = val
     moving = np.arange(len(b))

@@ -28,9 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Orientation, as_orientation
-from .errors import DiscriminantNegative, InvalidInput
+from .errors import CapExceeded, DiscriminantNegative, InvalidInput
 
 RESCALE_EVERY = 64
+FG_EXHAUSTIVE_CAP = 16  # 2^16 exact chains take about 8 s
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,8 @@ def sample_fg(
     """
     if n < 1 or trials < 1:
         raise InvalidInput("need at least one step and at least one trial")
+    if exhaustive and n > FG_EXHAUSTIVE_CAP:
+        raise CapExceeded(f"exhaustive sampling capped at n <= {FG_EXHAUSTIVE_CAP}")
     if exhaustive:
         from itertools import product as iproduct
 

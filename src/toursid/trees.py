@@ -31,7 +31,7 @@ from math import factorial, perm
 import numpy as np
 
 from .core import Digraph, Tree, _component, _walk, digraph, tree
-from .errors import CapExceeded, InvalidInput, NotCaterpillar, NotIndependent
+from .errors import CapExceeded, InvalidInput, NotCaterpillar, NotIndependent, PreconditionViolated
 from .tournament import Tournament, _freeze, tournament_stack
 
 STRONG_TAS_CAP = 5
@@ -273,6 +273,8 @@ def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:
     i_set = sorted(set(i_set))
     if not all(0 <= x < d.v for x in i_set):
         raise InvalidInput(f"anchors must be vertices 0..{d.v - 1} of the pattern")
+    if n_max < 1:
+        raise PreconditionViolated("the strong TAS check needs n_max >= 1")
     if n_max > STRONG_TAS_CAP:
         raise CapExceeded(f"strong TAS check capped at n <= {STRONG_TAS_CAP}")
     for u, w in d.arcs:
@@ -309,6 +311,8 @@ def glued_pair_digraph(h: Digraph, w: int) -> tuple[Digraph, int, int]:
 
 def amgm_check(h: Digraph, w: int, n_max: int) -> ExhaustiveReport:
     """Verify N(D, T | v -> t) <= N(H, T)^2 / 4 exhaustively for n <= n_max."""
+    if n_max < 1:
+        raise PreconditionViolated("the AM-GM check needs n_max >= 1")
     if n_max > STRONG_TAS_CAP:
         raise CapExceeded(f"check capped at n <= {STRONG_TAS_CAP}")
     d, v_new, _ = glued_pair_digraph(h, w)

@@ -81,8 +81,10 @@ def test_missing_file_is_a_structured_error(argv, tmp_path, capsys):
     (["strong-tas", "--file", "{f}"], "digraph v=3\n0 x\n"),
     (["iso-pair", "--file", "{f}"], "tree v=three\n"),
     (["hom", "--pattern-path", "><", "--host-file", "{f}"], "matrix n=1\n0\n"),
+    (["verify", "--mode", "tas", "--pattern-file", "{f}"], "digraph v=3\n0 1\n0 1\n"),
 ], ids=["digon", "tree-too-few-edges", "weighted-entry-2", "truncated-tournament",
-        "short-tournament-row", "zero-denominator", "bad-token", "bad-size", "bad-header"])
+        "short-tournament-row", "zero-denominator", "bad-token", "bad-size", "bad-header",
+        "repeated-arc"])
 def test_malformed_file_is_a_structured_error(argv, text, tmp_path, capsys):
     f = tmp_path / "input.txt"
     f.write_text(text)
@@ -233,6 +235,16 @@ def test_strong_tas(tmp_path, capsys):
     assert payload["passed"]
 
 
+def test_strong_tas_needs_a_host_size(tmp_path, capsys):
+    f = tmp_path / "p2.dg"
+    f.write_text("digraph v=3\n0 1\n1 2\n")
+    code, out, err = run_cli(capsys, "strong-tas", "--file", str(f), "--independent", "1",
+                             "--max-n", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "PreconditionViolated",
+                               "message": "the strong TAS check needs n_max >= 1"}
+
+
 def test_lyapunov_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["lyapunov", "--mode", "recurrence", "--beta", "1/8", "--steps", "1000"])
@@ -270,6 +282,12 @@ def test_fg_sample_requires_seed(capsys):
     code, out, err = run_cli(capsys, "fg", "--sample", "10", "100")
     assert code == 1
     assert json.loads(err)["error"] == "ToursidError"
+
+
+def test_fg_exhaustive_sample_past_the_cap_is_a_structured_error(capsys):
+    code, out, err = run_cli(capsys, "fg", "--sample", "17", "1", "--exhaustive")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "CapExceeded"
 
 
 def test_fg_exhaustive(capsys):
@@ -787,9 +805,9 @@ _FUZZ_ARGV = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(_FUZZ_ARGV)
-def test_orientation_commands_keep_the_exit_contract(argv):
+def assert_exit_contract(argv):
+    """main(argv) exits 0, 1 or 2, never with a traceback; exit 1 prints
+    nothing on stdout and one JSON error object on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -804,3 +822,94 @@ def test_orientation_commands_keep_the_exit_contract(argv):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FUZZ_ARGV)
+def test_orientation_commands_keep_the_exit_contract(argv):
+    assert_exit_contract(argv)
+
+
+def _file_text(head, lines):
+    return "\n".join([head, *lines]) + "\n"
+
+
+_KINDS = ["digraph", "tournament", "wtournament", "tree"]
+
+
+@st.composite
+def _valid_file_text(draw, kind):
+    """A text of this kind on 1 to 4 vertices."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "tree":
+        return _file_text(f"tree v={n}", [f"{draw(st.integers(0, i - 1))} {i}" for i in range(1, n)])
+    if kind == "digraph":
+        chosen = [p for p in pairs if draw(st.booleans())]
+        return _file_text(f"digraph v={n}", [f"{u} {w}" if draw(st.booleans()) else f"{w} {u}"
+                                              for u, w in chosen])
+    rows = [[Fraction(1, 2) if kind == "wtournament" else 0] * n for _ in range(n)]
+    for i, j in pairs:
+        x = Fraction(draw(st.integers(0, 4)), 4) if kind == "wtournament" else draw(st.integers(0, 1))
+        rows[i][j], rows[j][i] = x, 1 - x
+    if kind == "tournament":
+        return _file_text(f"tournament n={n}", ["".join(map(str, row)) for row in rows])
+    return _file_text(f"wtournament n={n}", [" ".join(map(str, row)) for row in rows])
+
+
+_JUNK_LINE = st.lists(st.sampled_from(["0", "1", "3", "-1", "x", "1/2", "1/0", "nan", "0110"]),
+                      max_size=4).map(" ".join)
+_JUNK_HEAD = st.tuples(
+    st.sampled_from(["digraph v", "tree v", "tournament n", "wtournament n", "matrix n", "tree"]),
+    st.sampled_from(["0", "-1", "2", "x", ""]),
+).map("=".join)
+
+
+@st.composite
+def _file_of(draw, kinds):
+    """A valid text of one of these kinds, of another kind, or one with a line
+    replaced, dropped or repeated, or a new header."""
+    how = draw(st.sampled_from(["valid", "valid", "other", "replace", "drop", "repeat", "head"]))
+    kind = draw(st.sampled_from(_KINDS if how == "other" else kinds))
+    lines = draw(_valid_file_text(kind)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "replace":
+        lines[i] = draw(_JUNK_LINE)
+    elif how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    elif how == "head":
+        lines[0] = draw(_JUNK_HEAD)
+    return _file_text(lines[0] if lines else "", lines[1:])
+
+
+_HOSTS = ["tournament", "wtournament"]
+_FILE_ARGV = st.one_of(
+    st.tuples(st.sampled_from([["--pattern-path", "><"], ["--pattern-cycle", "><>", "--no-loops"]]),
+              _file_of(_HOSTS))
+    .map(lambda t: (["hom", *t[0], "--host-file", "{a}"], t[1], "")),
+    st.tuples(_file_of(["digraph"]), _file_of(_HOSTS), st.booleans())
+    .map(lambda t: (["hom", "--pattern-file", "{a}", "--host-file", "{b}"]
+                    + ["--float"] * t[2], t[0], t[1])),
+    _file_of(["tree"]).map(lambda text: (["orient-tree", "--file", "{a}"], text, "")),
+    _file_of(["tree"]).map(lambda text: (["iso-pair", "--file", "{a}"], text, "")),
+    st.tuples(st.sampled_from(["tas", "ts"]), st.integers(1, 3), _file_of(["digraph"]))
+    .map(lambda t: (["verify", "--mode", t[0], "--pattern-file", "{a}", "--max-n", str(t[1])],
+                    t[2], "")),
+    st.tuples(st.sampled_from(["", "0", "1", "0,2"]), st.integers(0, 3), _file_of(["digraph"]))
+    .map(lambda t: (["strong-tas", "--file", "{a}", "--independent", t[0], "--max-n", str(t[1])],
+                    t[2], "")),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_FILE_ARGV)
+def test_file_commands_keep_the_exit_contract(tmp_path_factory, case):
+    # one test call runs every example, so each rewrites both files in pytest's base temp dir
+    argv, text_a, text_b = case
+    base = tmp_path_factory.getbasetemp()
+    paths = {"{a}": base / "fuzz-a.txt", "{b}": base / "fuzz-b.txt"}
+    paths["{a}"].write_text(text_a)
+    paths["{b}"].write_text(text_b)
+    assert_exit_contract([str(paths[x]) if x in paths else x for x in argv])

@@ -18,7 +18,7 @@ from toursid.core import (
     subdivide,
     tree,
 )
-from toursid.errors import EmptyInput, InvalidCharacter, OddLength, TooShort
+from toursid.errors import EmptyInput, InvalidCharacter, InvalidInput, OddLength, TooShort
 
 
 def test_parse_single_edge():
@@ -129,6 +129,14 @@ def test_cycle_too_short():
 def test_digraph_text_round_trip():
     d = digraph(4, [(0, 1), (2, 1), (3, 0)])
     assert parse_digraph_text(format_digraph_text(d)) == d
+
+
+def test_pattern_texts_reject_a_repeated_arc_or_edge():
+    # read as a set, the repeat would count once
+    with pytest.raises(InvalidInput, match="repeated arc 0 1"):
+        parse_digraph_text("digraph v=3\n0 1\n1 2\n0 1\n")
+    with pytest.raises(InvalidInput, match="repeated edge 1 0"):
+        parse_tree_text("tree v=2\n0 1\n1 0\n")
 
 
 def test_tree_text_round_trip():

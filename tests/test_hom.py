@@ -17,6 +17,7 @@ from toursid.construct import named_kernel
 from toursid.errors import CapExceeded
 from toursid.hom import (
     contract,
+    contract_grad,
     hom_count,
     hom_cycle,
     hom_generic,
@@ -266,24 +267,45 @@ def test_contract_wide_star_merges_its_leaf_factors():
         sum(sum(row) ** 70 for row in h.rows()) for h in hosts]
 
 
-def test_contract_open_arcs_give_the_gradient():
-    # summing the open-arc tensors over all arcs gives dh/dA(i, j), checked
-    # against a brute-force sum over maps: drop one arc, pin its end labels
-    d = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 0)])
-    host = with_half_loops(random_tournament(3, seed=4))
-    n, a = 3, host.rows()
-    brute = [[0] * n for _ in range(n)]
-    arcs = sorted(d.arcs)
+def per_map_gradient(d, a):
+    """dh/dA(i, j) by brute force: for each map and each arc, the other arcs'
+    product goes to the entry the arc's ends land on."""
+    n, arcs = len(a), sorted(d.arcs)
+    grad = [[0] * n for _ in range(n)]
     for phi in product(range(n), repeat=d.v):
         for k, (u, w) in enumerate(arcs):
             p = 1
             for kk, (x, y) in enumerate(arcs):
                 if kk != k:
                     p *= a[phi[x]][phi[y]]
-            brute[phi[u]][phi[w]] += p
-    stack = np.array(a, dtype=object)
-    grad = sum(contract(d, stack, open_arc=arc) for arc in arcs)
-    assert grad.tolist() == brute
+            grad[phi[u]][phi[w]] += p
+    return grad
+
+
+# a path, a cycle, the 5-arc digraph, a forest with an isolated vertex, one
+# arc (entered as A^T) and the arc-free pattern
+SWEEP_PATTERNS = [
+    path_digraph(">><<>"),
+    cycle_digraph("><>>"),
+    digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 0)]),
+    digraph(5, [(1, 0), (1, 2), (3, 1)]),
+    digraph(2, [(1, 0)]),
+    digraph(3, []),
+]
+
+
+def test_reverse_sweep_matches_the_per_map_gradient():
+    # exact on object stacks: Fraction hosts, one host alone and a stack of
+    # two, and int rows, which the sweep runs as object ints
+    hosts = [with_half_loops(random_tournament(3, seed=s)).rows() for s in (4, 5)]
+    ints = tournament_stack(3)[[1, 5]]
+    for d in SWEEP_PATTERNS:
+        want = [per_map_gradient(d, a) for a in hosts]
+        assert contract_grad(d, np.array(hosts, dtype=object)).tolist() == want
+        assert contract_grad(d, np.array(hosts[0], dtype=object)).tolist() == want[0]
+        got = contract_grad(d, ints)
+        assert got.dtype == object
+        assert got.tolist() == [per_map_gradient(d, a.tolist()) for a in ints]
 
 
 def test_hom_count_matches_oracle_on_weighted_and_skew_hosts():
@@ -392,21 +414,22 @@ def test_blocked_generic_matches_the_map_loop():
 
 
 def test_planned_contract_matches_bruteforce_and_repeats_itself():
-    # the plan is cached per (arcs, v, open arc); replaying it gives the brute
-    # force on floats and the same bits on every call, open arcs included
-    d = digraph(5, [(0, 1), (1, 2), (2, 0), (3, 2), (3, 4)])
+    # the plan is cached per pattern; replaying it gives the brute force on
+    # floats and the same bits on every call, the reverse sweep included
     rng = np.random.default_rng(5)
     b = np.triu(rng.uniform(-0.5, 0.5, (6, 4, 4)), 1)
     stack = 0.5 + b - np.swapaxes(b, -1, -2)
-    brute = [hom_generic(d, h.tolist()).raw for h in stack]
-    first = contract(d, stack).copy()
-    assert np.allclose(first, brute, rtol=1e-12, atol=0)
-    assert np.array_equal(contract(d, stack), first)
-    for arc in sorted(d.arcs):
-        opened = contract(d, stack, open_arc=arc).copy()
-        assert np.array_equal(contract(d, stack, open_arc=arc), opened)
-        # closing the open arc with its own factor A(i, j) gives h back
-        assert np.allclose((opened * stack).sum(axis=(-2, -1)), brute, rtol=1e-12, atol=0)
+    for d in SWEEP_PATTERNS:
+        brute = [hom_generic(d, h.tolist()).raw for h in stack]
+        first = contract(d, stack).copy()
+        assert np.allclose(first, brute, rtol=1e-12, atol=0)
+        assert np.array_equal(contract(d, stack), first)
+        grad = contract_grad(d, stack)
+        assert np.array_equal(contract_grad(d, stack), grad)
+        want = [per_map_gradient(d, h.tolist()) for h in stack]
+        assert np.allclose(grad, want, rtol=1e-12, atol=1e-12)
+        # Euler: h is homogeneous of degree e in A, so <A, dh/dA> = e h
+        assert np.allclose((grad * stack).sum(axis=(-2, -1)), d.e * first, rtol=1e-12, atol=0)
 
 
 def test_int64_object_and_fraction_kernels_agree():

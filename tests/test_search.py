@@ -7,7 +7,7 @@ import pytest
 from toursid.construct import CertDirection, certificate
 from toursid.core import Orientation, cycle_digraph, digraph, path_digraph
 from toursid.errors import CapExceeded, InvalidHost, PreconditionViolated
-from toursid.hom import contract, hom_generic
+from toursid.hom import contract, contract_grad, hom_generic
 from toursid.search import (
     MODE_TAS,
     MODE_TS,
@@ -153,6 +153,22 @@ def test_optimizer_accepted_steps_are_monotone():
         res2 = optimize_density(pattern, n=3, objective="minimize", restarts=3, seed=5)
         for traj in res2.trajectories:
             assert all(b <= a + 1e-12 for a, b in zip(traj, traj[1:]))
+
+
+def test_each_optimizer_step_takes_one_gradient_call(monkeypatch):
+    # one call per step whatever e is: the loop runs until no start moved,
+    # one step past the longest trajectory, or for MAX_ITERS steps
+    from toursid import search
+
+    calls = []
+    monkeypatch.setattr(search, "contract_grad",
+                        lambda d, a: calls.append(a.shape) or contract_grad(d, a))
+    for pattern in (">", "><>>><", ">>>><<<<>", digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])):
+        calls.clear()
+        res = optimize_density(pattern, n=4, objective="maximize", restarts=3, seed=2)
+        longest = max(len(traj) for traj in res.trajectories)
+        assert len(calls) == min(longest, search.MAX_ITERS)
+        assert sum(shape[0] for shape in calls) == res.iterations
 
 
 def _refute_by_host_loop(pattern, mode, n_max):

@@ -5,9 +5,11 @@ from itertools import product
 import pytest
 
 from toursid.core import Orientation
-from toursid.errors import DiscriminantNegative
+from toursid import stochastic
+from toursid.errors import CapExceeded, DiscriminantNegative
 from toursid.hom import hom_path
 from toursid.stochastic import (
+    FG_EXHAUSTIVE_CAP,
     fg_process,
     fg_x_series,
     lyapunov_estimate,
@@ -81,6 +83,17 @@ def test_sample_exhaustive_mean_two():
     s = sample_fg(10, 1024, exhaustive=True)
     assert s.mean_total == 2
     assert s.trials == 1024
+
+
+def test_exhaustive_sample_is_capped_before_any_chain_runs(monkeypatch):
+    def chain(dirs):
+        raise AssertionError("a chain ran past the cap")
+
+    monkeypatch.setattr(stochastic, "fg_process", chain)
+    with pytest.raises(CapExceeded):
+        sample_fg(FG_EXHAUSTIVE_CAP + 1, 1, exhaustive=True)
+    # Monte Carlo sampling has no such cap
+    assert sample_fg(FG_EXHAUSTIVE_CAP + 1, 10, seed=1).n == FG_EXHAUSTIVE_CAP + 1
 
 
 def test_sample_martingale_monte_carlo():

@@ -6,7 +6,13 @@ from itertools import combinations, permutations, product
 import pytest
 
 from toursid.core import digraph, tree
-from toursid.errors import CapExceeded, InvalidInput, NotCaterpillar, NotIndependent
+from toursid.errors import (
+    CapExceeded,
+    InvalidInput,
+    NotCaterpillar,
+    NotIndependent,
+    PreconditionViolated,
+)
 from toursid.tournament import enumerate_tournaments
 from toursid.trees import (
     PROV_CATERPILLAR,
@@ -195,6 +201,15 @@ def test_strong_tas_anchors_must_be_vertices(anchors):
 def test_strong_tas_cap():
     with pytest.raises(CapExceeded):
         strong_tas_check(digraph(2, [(0, 1)]), [0], n_max=6)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_anchored_checks_need_a_host_size(n_max):
+    # with no host checked, a pass would be vacuous
+    with pytest.raises(PreconditionViolated):
+        strong_tas_check(digraph(3, [(0, 1), (1, 2)]), [1], n_max=n_max)
+    with pytest.raises(PreconditionViolated):
+        amgm_check(digraph(1, []), 0, n_max=n_max)
 
 
 def test_glued_pair_shape():
