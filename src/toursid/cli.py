@@ -4,6 +4,11 @@ Every subcommand is scriptable: identical inputs and seeds produce
 byte-identical output, exact values serialize as "p/q" strings, results go
 to stdout and structured errors to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error.
+
+Each command handler imports the modules it runs when it first runs, and the
+parser holds no library objects, so starting the program loads only the
+command in use: the classifiers, `counts`, `localwalk` and `fg --orientation`
+run without numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import classify, construct, core, hom, search, signed, spectral, stochastic, trees
 from .errors import CapExceeded, InvalidInput, ToursidError
 
 
@@ -57,7 +61,9 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_classify(args) -> int:
-    res = args.classify(args.orientation, best_effort=args.best_effort)
+    from . import classify
+
+    res = getattr(classify, args.classify)(args.orientation, best_effort=args.best_effort)
     if args.json:
         _emit_json(res.to_json_dict())
     else:
@@ -69,6 +75,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_counts(args) -> int:
+    from . import signed
+
     if args.cycle:
         c = signed.cycle_counts(args.orientation)
     else:
@@ -102,6 +110,8 @@ def _load_host(args):
 
 
 def _cmd_hom(args) -> int:
+    from . import core, hom
+
     host = _load_host(args)
     if args.float_backend:
         host = [[float(x) for x in row] for row in hom.host_entries(host)[1]]
@@ -128,6 +138,8 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import spectral
+
     p = spectral.expand_path(args.orientation)
     if args.json:
         terms = [
@@ -141,6 +153,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_certify_sign(args) -> int:
+    from . import spectral
+
     p = spectral.expand_path(args.orientation)
     res = spectral.certify_sign(p)
     if args.json:
@@ -155,6 +169,8 @@ def _cmd_certify_sign(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    from . import construct, hom
+
     k = construct.named_kernel(args.name)
     payload = {
         "name": k.name,
@@ -175,6 +191,7 @@ def _cmd_kernels(args) -> int:
 
 def _write_certificate(prefix: str, cert) -> None:
     """The certificate's host as prefix.wt and its sidecar as prefix.json."""
+    from . import construct
     from .tournament import format_weighted_text
 
     with open(prefix + ".wt", "w", encoding="utf-8") as fh:
@@ -184,6 +201,8 @@ def _write_certificate(prefix: str, cert) -> None:
 
 
 def _cmd_certificate(args) -> int:
+    from . import construct
+
     delta = _parse(Fraction, args.delta, "--delta") if args.delta is not None else Fraction(1, 100)
     cert = construct.certificate(args.name, delta=delta)
     if args.out:
@@ -193,6 +212,8 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import core, search
+
     mode = args.mode.upper()
     if args.pattern_file:
         pattern = core.parse_digraph_text(_read_file(args.pattern_file))
@@ -217,6 +238,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orient_tree(args) -> int:
+    from . import core, trees
+
     t = core.parse_tree_text(_read_file(args.file))
     res = trees.orient_tree_tas(t)
     if res.arcs is None:
@@ -235,6 +258,8 @@ def _cmd_orient_tree(args) -> int:
 
 
 def _cmd_iso_pair(args) -> int:
+    from . import core, trees
+
     t = core.parse_tree_text(_read_file(args.file))
     pair = trees.find_isomorphic_pair(t)
     if pair is None:
@@ -252,6 +277,8 @@ def _cmd_iso_pair(args) -> int:
 
 
 def _cmd_strong_tas(args) -> int:
+    from . import core, trees
+
     d = core.parse_digraph_text(_read_file(args.file))
     i_set = _parse(_ints, args.independent, "--independent")
     rep = trees.strong_tas_check(d, i_set, n_max=args.max_n)
@@ -267,6 +294,8 @@ def _cmd_strong_tas(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
+    from . import stochastic
+
     beta = _parse(Fraction, args.beta, "--beta") if args.beta is not None else None
     est = stochastic.lyapunov_estimate(
         args.mode, steps=args.steps, seed=args.seed, beta=beta, batches=args.batches
@@ -285,6 +314,8 @@ def _cmd_lyapunov(args) -> int:
 
 
 def _cmd_fg(args) -> int:
+    from . import stochastic
+
     if args.sample:
         n, trials = args.sample
         if args.seed is None and not args.exhaustive:
@@ -316,6 +347,8 @@ def _cmd_fg(args) -> int:
 
 
 def _cmd_localwalk(args) -> int:
+    from . import signed
+
     w = signed.walk_fractions(args.steps)
     _emit_json({
         "steps": args.steps,
@@ -327,6 +360,8 @@ def _cmd_localwalk(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
+    from . import construct
+
     sizes = _parse(_ints, args.parts, "--parts")
     sc = construct.sparse_non_tas(sizes)
     _emit_json({
@@ -347,13 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true")
 
-    for name, fn in (("classify-path", classify.classify_path),
-                     ("classify-cycle", classify.classify_cycle)):
+    for name in ("classify-path", "classify-cycle"):
         p = sub.add_parser(name)
         p.add_argument("orientation")
         p.add_argument("--best-effort", action="store_true")
         common(p)
-        p.set_defaults(fn=_cmd_classify, classify=fn)
+        p.set_defaults(fn=_cmd_classify, classify=name.replace("-", "_"))
 
     p = sub.add_parser("counts")
     p.add_argument("orientation")

@@ -25,8 +25,6 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Orientation, as_orientation
 from .errors import CapExceeded, DiscriminantNegative, InvalidInput
 
@@ -43,6 +41,15 @@ class FGState:
     @property
     def total(self) -> Fraction:
         return self.f + self.g
+
+
+def _generator(seed: int):
+    """numpy's PCG64 generator for a non-negative integer seed."""
+    import numpy as np
+
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _dirs_of(o) -> tuple[int, ...]:
@@ -157,7 +164,9 @@ def sample_fg(
                         frac, threshold, None)
     if seed is None:
         raise InvalidInput("seed is required for Monte Carlo sampling")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    import numpy as np
+
+    rng = _generator(seed)
     f = np.ones(trials)
     g = np.ones(trials)
     logscale = np.zeros(trials)
@@ -212,9 +221,11 @@ def ratio_support(beta: float) -> tuple[float, float]:
 
 def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     """Simulate r_n = 1 +- beta / r_(n-1) from r_0 = 1 and report its range."""
+    import numpy as np
+
     beta = float(beta)
     r_low, r_high = ratio_support(beta)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     r = 1.0
     min_r, max_r = r, r
     log_sum = 0.0
@@ -282,18 +293,21 @@ def lyapunov_estimate(
     form with periodic log-rescaling; mode "fg" runs the homomorphism chain
     itself (float, rescaled).
     """
+    import numpy as np
+
     if not 1 <= batches <= steps:
         raise InvalidInput("need at least one batch and at least as many steps as batches")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     batch_len = steps // batches
     total = batches * batch_len
     batch_means: list[float] = []
     if mode == "recurrence":
         if beta is None:
             raise InvalidInput("recurrence mode needs beta")
-        beta = float(beta)
-        if beta < 0 or 1.0 - 4.0 * beta < -1e-15:
+        # checked before the float conversion, which overflows past 1e308
+        if beta < 0 or 4 * beta - 1 > 1e-15:
             raise DiscriminantNegative("recurrence mode needs 0 <= beta <= 1/4")
+        beta = float(beta)
         if beta == 0.0:
             return LyapunovEstimate(mode, beta, steps, seed, 0.0, 0.0, 0.0,
                                     tuple([0.0] * batches))

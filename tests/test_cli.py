@@ -114,6 +114,9 @@ def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
     ["lyapunov", "--mode", "fg", "--steps", "100", "--seed", "1", "--batches", "0"],
     ["lyapunov", "--mode", "recurrence", "--steps", "100", "--seed", "1"],
     ["lyapunov", "--mode", "recurrence", "--beta", "x", "--steps", "100", "--seed", "1"],
+    ["lyapunov", "--mode", "recurrence", "--beta", "1/8", "--steps", "200", "--seed", "-5"],
+    ["lyapunov", "--mode", "fg", "--steps", "200", "--seed", "-5"],
+    ["fg", "--sample", "5", "3", "--seed", "-1"],
     ["strong-tas", "--file", "{f}", "--independent", "9"],
     ["strong-tas", "--file", "{f}", "--independent", "-1"],
     ["strong-tas", "--file", "{f}", "--independent", "x"],
@@ -128,6 +131,21 @@ def test_bad_argument_value_is_a_structured_error(argv, tmp_path, capsys):
     # verify reports its out-of-range sizes as it does --max-n 0
     expected = "PreconditionViolated" if argv[0] == "verify" else "InvalidInput"
     assert json.loads(err)["error"] == expected
+
+
+def test_recurrence_beta_past_the_float_range_is_a_structured_error(capsys):
+    code, out, err = run_cli(capsys, "lyapunov", "--mode", "recurrence", "--beta", "1e400",
+                             "--steps", "100", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DiscriminantNegative"
+
+
+def test_verify_takes_a_negative_seed(capsys):
+    # the optimizer seeds Python's random, which takes any integer
+    code, out, err = run_cli(capsys, "verify", "--mode", "tas", "--pattern", "><",
+                             "--max-n", "2", "--budget", "2", "--seed", "-3")
+    assert (code, err) == (0, "")
+    assert out.startswith("pattern >< mode TAS: ")
 
 
 def test_usage_error_exit_code(capsys):
@@ -815,6 +833,7 @@ def assert_exit_contract(argv):
         except SystemExit as exc:  # argparse's usage error
             code = exc.code
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
     if code == 0:
         assert err.getvalue() == ""
     if code == 1:
@@ -913,3 +932,50 @@ def test_file_commands_keep_the_exit_contract(tmp_path_factory, case):
     paths["{a}"].write_text(text_a)
     paths["{b}"].write_text(text_b)
     assert_exit_contract([str(paths[x]) if x in paths else x for x in argv])
+
+
+# Numeric arguments: in-range values, out-of-range values and the texts that
+# break naive number parsing.  Sizes stay small so every example runs fast.
+_ODD_NUMBER = st.sampled_from(["1/0", "nan", "inf", "1e400", "1e-400", "0.5", "x", ""])
+
+
+def _int_arg(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), _ODD_NUMBER)
+
+
+_SEED = st.one_of(st.integers(-3, 3), st.integers(-(2**65), 2**65)).map(str) | _ODD_NUMBER
+_FRACTION_ARG = st.one_of(
+    st.fractions(-1, 2, max_denominator=100).map(str),
+    st.integers(-2, 2).map(str),
+    _ODD_NUMBER,
+)
+
+
+def _with(flag, values):
+    """[flag, value] or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_NUMERIC_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["recurrence", "fg"]), _with("--beta", _FRACTION_ARG),
+              _int_arg(-2, 1000), _SEED, _with("--batches", _int_arg(-2, 50)),
+              st.sampled_from([[], ["--csv"]]))
+    .map(lambda t: ["lyapunov", "--mode", t[0], *t[1], "--steps", t[2], "--seed", t[3],
+                    *t[4], *t[5]]),
+    st.tuples(_int_arg(-2, 10), _int_arg(-2, 50), _with("--seed", _SEED),
+              st.sampled_from([[], ["--exhaustive"]]))
+    .map(lambda t: ["fg", "--sample", t[0], t[1], *t[2], *t[3]]),
+    _int_arg(-3, 300).map(lambda n: ["localwalk", "--steps", n]),
+    st.lists(_int_arg(-1, 3), max_size=6).map(lambda parts: ["sparse", "--parts", ",".join(parts)]),
+    st.tuples(st.sampled_from(["TransitiveTriangle", "PerturbedCyclic"]), _FRACTION_ARG)
+    .map(lambda t: ["certificate", t[0], "--delta", t[1]]),
+    st.tuples(st.sampled_from(["tas", "ts"]), st.sampled_from([">><", "><>>><", ">>><<"]),
+              _int_arg(-1, 4), _with("--budget", _int_arg(-1, 3)), _with("--seed", _SEED))
+    .map(lambda t: ["verify", "--mode", t[0], "--pattern", t[1], "--max-n", t[2], *t[3], *t[4]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NUMERIC_ARGV)
+def test_numeric_arguments_keep_the_exit_contract(argv):
+    assert_exit_contract(argv)

@@ -6,7 +6,7 @@ import pytest
 
 from toursid.core import Orientation
 from toursid import stochastic
-from toursid.errors import CapExceeded, DiscriminantNegative
+from toursid.errors import CapExceeded, DiscriminantNegative, InvalidInput
 from toursid.hom import hom_path
 from toursid.stochastic import (
     FG_EXHAUSTIVE_CAP,
@@ -105,6 +105,25 @@ def test_sample_martingale_monte_carlo():
 def test_sample_seed_required():
     with pytest.raises(ValueError):
         sample_fg(10, 100)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: sample_fg(5, 3, seed=seed),
+    lambda seed: ratio_chain(F(1, 8), 100, seed=seed),
+    lambda seed: lyapunov_estimate("fg", steps=200, seed=seed),
+    lambda seed: lyapunov_estimate("recurrence", steps=200, seed=seed, beta=F(1, 8)),
+], ids=["sample_fg", "ratio_chain", "lyapunov-fg", "lyapunov-recurrence"])
+def test_a_negative_seed_is_invalid_input(run):
+    with pytest.raises(InvalidInput, match="seed must be non-negative"):
+        run(-1)
+    # seeds past 64 bits are fine: numpy hashes them through its SeedSequence
+    assert run(2**64 + 1) == run(2**64 + 1)
+
+
+@pytest.mark.parametrize("beta", [F(10**400), F(-(10**400))])
+def test_recurrence_beta_past_the_float_range_is_out_of_range(beta):
+    with pytest.raises(DiscriminantNegative):
+        lyapunov_estimate("recurrence", steps=100, seed=1, beta=beta)
 
 
 def test_ratio_support_eighth():
