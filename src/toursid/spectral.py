@@ -25,11 +25,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .core import as_orientation
-from .errors import CapExceeded, ConvergenceFailure, EntryRangeViolated
+from .errors import CapExceeded, ConvergenceFailure, EntryRangeViolated, InternalAssertionFailed
 from .hom import s_moment, s_moments_up_to
 from .tournament import SkewMatrix
 
@@ -194,26 +195,26 @@ def expand_path(o) -> SPolynomial:
     e = o.e
     if e > EXPAND_EDGE_CAP:
         raise CapExceeded(f"expansion capped at {EXPAND_EDGE_CAP} edges")
-    half = Fraction(1, 2)
-    # state: (closed runs sorted tuple, zero segment count, open run length)
-    state: dict[tuple[tuple[int, ...], int, int], Fraction] = {((), 0, 0): Fraction(1)}
+    # state: (closed runs sorted tuple, zero segment count, open run length).
+    # After k edges a coefficient is kept times 2^k, so a B step multiplies
+    # it by 2d, a gap (a factor 1/2) leaves it as it is, and 2^e divides out
+    # once at the end.
+    state: dict[tuple[tuple[int, ...], int, int], int] = {((), 0, 0): 1}
     for d in o.dirs:
-        nxt: dict[tuple[tuple[int, ...], int, int], Fraction] = {}
-
-        def add(key, val):
-            if val:
-                nxt[key] = nxt.get(key, Fraction(0)) + val
-
+        nxt: dict[tuple[tuple[int, ...], int, int], int] = {}
         for (runs, zeros, open_run), coeff in state.items():
-            add((runs, zeros, open_run + 1), coeff * d)
-            # gap: close the open run and pay the 1/2
+            key = (runs, zeros, open_run + 1)
+            nxt[key] = nxt.get(key, 0) + 2 * d * coeff
+            # gap: close the open run; odd closed runs vanish
             if open_run == 0:
-                add((runs, zeros + 1, 0), coeff * half)
+                key = (runs, zeros + 1, 0)
             elif open_run % 2 == 0:
-                add((tuple(sorted(runs + (open_run,))), zeros, 0), coeff * half)
-            # odd closed runs vanish
+                key = (tuple(sorted(runs + (open_run,))), zeros, 0)
+            else:
+                continue
+            nxt[key] = nxt.get(key, 0) + coeff
         state = nxt
-    terms: dict[TermKey, Fraction] = {}
+    terms: dict[TermKey, int] = {}
     for (runs, zeros, open_run), coeff in state.items():
         if open_run == 0:
             zeros += 1
@@ -222,8 +223,10 @@ def expand_path(o) -> SPolynomial:
         else:
             continue
         key = (zeros, runs)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    frozen = tuple(sorted(((k, c) for k, c in terms.items() if c), key=lambda kv: kv[0]))
+        terms[key] = terms.get(key, 0) + coeff
+    scale = 2**e
+    frozen = tuple(sorted(((k, Fraction(c, scale)) for k, c in terms.items() if c),
+                          key=lambda kv: kv[0]))
     return SPolynomial(o.v, e, frozen)
 
 
@@ -260,6 +263,7 @@ class CertificationResult:
     trace: tuple[str, ...]
 
 
+@lru_cache(maxsize=4096)
 def _reachable_factor(src: tuple[int, ...], dst: tuple[int, ...]) -> Fraction | None:
     """Can the X-multiset src be bounded by dst via moves (iii)/(iv)?
 
@@ -299,38 +303,57 @@ def _reachable_factor(src: tuple[int, ...], dst: tuple[int, ...]) -> Fraction | 
     return None
 
 
-def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str], depth: int = 0) -> bool:
+def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) -> bool:
     """Greedily absorb every bad-signed monomial into opposite partners.
 
     Nearest (highest-index) reachable partner first, with backtracking over
-    the partner choice.
+    the partner choice, at most 64 moves deep.  A state whose whole subtree
+    failed without meeting that cap fails wherever it comes up again, and
+    a failing branch writes no trace line, so it is not searched twice.
     """
-    if depth > 64:
-        return False
-    bads = [k for k, c in terms.items() if (c > 0) == (bad_sign > 0)]
-    if not bads:
-        return True
-    worst = max(bads, key=lambda k: (max(k[1], default=0), sorted(k[1], reverse=True), k[0]))
-    coeff = terms[worst]
-    goods = [k for k, c in terms.items() if (c > 0) != (bad_sign > 0)]
-    goods.sort(key=lambda k: (max(k[1], default=0), sorted(k[1], reverse=True), k[0]), reverse=True)
-    z, runs = worst
-    for gz, gruns in goods:
-        frac = _reachable_factor(runs, gruns)
-        if frac is None:
-            continue
-        moved = coeff * frac  # n-power lands exactly on the partner by degree
-        nxt = dict(terms)
-        del nxt[worst]
-        nxt[(gz, gruns)] = nxt.get((gz, gruns), Fraction(0)) + moved
-        if nxt[(gz, gruns)] == 0:
-            del nxt[(gz, gruns)]
-        line = (f"bound {_mono_text(worst, coeff)} by {_mono_text((gz, gruns), moved)} "
-                f"and cancel")
-        if _eliminate(nxt, bad_sign, trace, depth + 1):
-            trace.insert(0, line)
+    # moves only land on monomials already present, so one ranking serves all
+    rank = {k: (max(k[1], default=0), sorted(k[1], reverse=True), k[0]) for k in terms}
+    dead: set[frozenset] = set()
+    capped = False  # did the subtree being searched meet the depth cap?
+
+    def search(terms: dict[TermKey, Fraction], depth: int) -> bool:
+        nonlocal capped
+        if depth > 64:
+            capped = True
+            return False
+        bads, goods = [], []
+        for k, c in terms.items():
+            (bads if (c > 0) == (bad_sign > 0) else goods).append(k)
+        if not bads:
             return True
-    return False
+        state = frozenset(terms.items())
+        if state in dead:
+            return False
+        outer, capped = capped, False
+        worst = max(bads, key=rank.__getitem__)
+        coeff = terms[worst]
+        goods.sort(key=rank.__getitem__, reverse=True)
+        z, runs = worst
+        for gz, gruns in goods:
+            frac = _reachable_factor(runs, gruns)
+            if frac is None:
+                continue
+            moved = coeff * frac  # n-power lands exactly on the partner by degree
+            nxt = dict(terms)
+            del nxt[worst]
+            nxt[(gz, gruns)] = nxt.get((gz, gruns), Fraction(0)) + moved
+            if nxt[(gz, gruns)] == 0:
+                del nxt[(gz, gruns)]
+            if search(nxt, depth + 1):
+                trace.insert(0, f"bound {_mono_text(worst, coeff)} by "
+                                f"{_mono_text((gz, gruns), moved)} and cancel")
+                return True
+        if not capped:
+            dead.add(state)
+        capped = capped or outer
+        return False
+
+    return search(terms, 0)
 
 
 def _mono_text(key: TermKey, coeff: Fraction) -> str:
@@ -347,8 +370,8 @@ def certify_sign(p: SPolynomial) -> CertificationResult:
     quasirandom benchmark exactly, so the residual has no pure-n monomial.
     """
     residual = x_form(p)
-    bench = (p.v, ())
-    assert residual.pop(bench, None) == Fraction(1, 2**p.e)
+    if residual.pop((p.v, ()), None) != Fraction(1, 2**p.e):
+        raise InternalAssertionFailed("the all-J term is not n^v/2^e")
     residual = {k: c for k, c in residual.items() if c}
     if not residual:
         return CertificationResult(

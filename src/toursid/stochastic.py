@@ -291,7 +291,7 @@ def lyapunov_estimate(
 
     mode "recurrence" runs x_n = x_(n-1) +- beta x_(n-2) through its ratio
     form with periodic log-rescaling; mode "fg" runs the homomorphism chain
-    itself (float, rescaled).
+    itself (float, rescaled) and takes no beta.
     """
     import numpy as np
 
@@ -323,6 +323,8 @@ def lyapunov_estimate(
                 acc += math.log(prod)
             batch_means.append(acc / batch_len)
     elif mode == "fg":
+        if beta is not None:
+            raise InvalidInput("fg mode takes no beta")
         f, g = 1.0, 1.0
         prev_ln = 0.0
         logscale = 0.0

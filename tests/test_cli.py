@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toursid
 from toursid import search
 from toursid.cli import main
 from toursid.core import format_tree_text, tree, format_digraph_text, digraph
@@ -116,6 +120,8 @@ def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
     ["lyapunov", "--mode", "recurrence", "--beta", "x", "--steps", "100", "--seed", "1"],
     ["lyapunov", "--mode", "recurrence", "--beta", "1/8", "--steps", "200", "--seed", "-5"],
     ["lyapunov", "--mode", "fg", "--steps", "200", "--seed", "-5"],
+    ["lyapunov", "--mode", "fg", "--beta", "1e400", "--steps", "100", "--seed", "1"],
+    ["lyapunov", "--mode", "fg", "--beta", "7/9", "--steps", "100", "--seed", "1"],
     ["fg", "--sample", "5", "3", "--seed", "-1"],
     ["strong-tas", "--file", "{f}", "--independent", "9"],
     ["strong-tas", "--file", "{f}", "--independent", "-1"],
@@ -780,6 +786,36 @@ def test_golden_scans_and_counts(argv, expected, tmp_path, capsys):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
     assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+# Runs every case of argv lists read as JSON from stdin through main in one
+# process and prints [exit code, stdout, stderr] for each as JSON.
+_RUN_ARGV_LISTS = """
+import contextlib, io, json, sys
+from toursid.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_golden_corpus_is_unchanged_under_python_O(tmp_path):
+    # -O strips every assert, so an assert with a side effect changes a byte
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    cases = [(list(argv), out) for argv, out in sorted(GOLDEN.items())]
+    cases += [([str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv], out)
+              for argv, out in GOLDEN_SCANS + GOLDEN_COMMANDS]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toursid.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _RUN_ARGV_LISTS],
+                          input=json.dumps([argv for argv, _ in cases]),
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [[0, out, ""] for _, out in cases]
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -1,16 +1,25 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import toursid
 from toursid.construct import named_kernel
 from toursid.core import Orientation
-from toursid.errors import CapExceeded, EntryRangeViolated
+from toursid.errors import CapExceeded, EntryRangeViolated, InternalAssertionFailed
 from toursid.hom import hom_path
 from toursid.spectral import (
+    CertificationResult,
     CertVerdict,
+    SPolynomial,
+    _mono_text,
+    _reachable_factor,
     certify_sign,
     check_x_lemma,
     eigenvalues,
@@ -244,6 +253,50 @@ def test_expand_cap():
         expand_path(">" * 25)
 
 
+def _expand_oracle(o: Orientation) -> SPolynomial:
+    """The expansion DP in Fractions: a B step multiplies a coefficient by d
+    and a gap by 1/2 (the reference for expand_path's scaled integers)."""
+    half = F(1, 2)
+    state = {((), 0, 0): F(1)}
+    for d in o.dirs:
+        nxt = {}
+
+        def add(key, val):
+            if val:
+                nxt[key] = nxt.get(key, F(0)) + val
+
+        for (runs, zeros, open_run), coeff in state.items():
+            add((runs, zeros, open_run + 1), coeff * d)
+            if open_run == 0:
+                add((runs, zeros + 1, 0), coeff * half)
+            elif open_run % 2 == 0:
+                add((tuple(sorted(runs + (open_run,))), zeros, 0), coeff * half)
+        state = nxt
+    terms = {}
+    for (runs, zeros, open_run), coeff in state.items():
+        if open_run == 0:
+            zeros += 1
+        elif open_run % 2 == 0:
+            runs = tuple(sorted(runs + (open_run,)))
+        else:
+            continue
+        terms[(zeros, runs)] = terms.get((zeros, runs), F(0)) + coeff
+    frozen = tuple(sorted(((k, c) for k, c in terms.items() if c), key=lambda kv: kv[0]))
+    return SPolynomial(o.v, o.e, frozen)
+
+
+def test_expansion_matches_the_fraction_oracle():
+    rng = random.Random(1124)
+    orientations = [Orientation(dirs) for e in range(1, 11) for dirs in product((1, -1), repeat=e)]
+    for _ in range(40):
+        e = rng.randint(11, 24)
+        orientations.append(Orientation(tuple(rng.choice((1, -1)) for _ in range(e))))
+    for o in orientations:
+        p = expand_path(o)
+        assert p == _expand_oracle(o), o
+        assert all(type(c) is F for _, c in p.terms)
+
+
 def test_to_text_stable():
     txt = expand_path("><<<").to_text()
     assert txt == "(1/16)*n^5*S2^0*S4^0 + (1/4)*n^2*S2^1*S4^0 + (-1/1)*n^0*S2^0*S4^1"
@@ -335,6 +388,86 @@ TABLE1 = {
     ">><<>": "TS",
     "><><>": "TS",
 }
+
+
+def _eliminate_oracle(terms, bad_sign, trace, depth=0):
+    """The certifier's backtracking search with no pruning and no memo."""
+    if depth > 64:
+        return False
+    bads = [k for k, c in terms.items() if (c > 0) == (bad_sign > 0)]
+    if not bads:
+        return True
+    rank = lambda k: (max(k[1], default=0), sorted(k[1], reverse=True), k[0])  # noqa: E731
+    worst = max(bads, key=rank)
+    coeff = terms[worst]
+    goods = sorted((k for k, c in terms.items() if (c > 0) != (bad_sign > 0)), key=rank,
+                   reverse=True)
+    for gz, gruns in goods:
+        frac = _reachable_factor.__wrapped__(worst[1], gruns)
+        if frac is None:
+            continue
+        moved = coeff * frac
+        nxt = dict(terms)
+        del nxt[worst]
+        nxt[(gz, gruns)] = nxt.get((gz, gruns), F(0)) + moved
+        if nxt[(gz, gruns)] == 0:
+            del nxt[(gz, gruns)]
+        if _eliminate_oracle(nxt, bad_sign, trace, depth + 1):
+            trace.insert(0, f"bound {_mono_text(worst, coeff)} by "
+                            f"{_mono_text((gz, gruns), moved)} and cancel")
+            return True
+    return False
+
+
+def _certify_oracle(p):
+    residual = x_form(p)
+    bench = residual.pop((p.v, ()), None)
+    assert bench == F(1, 2**p.e)
+    residual = {k: c for k, c in residual.items() if c}
+    if not residual:
+        return CertificationResult(
+            CertVerdict.CERTIFIED_TAS, ("residual is identically zero (equality)",))
+    for bad_sign, verdict, last in (
+        (+1, CertVerdict.CERTIFIED_TAS, "all positive monomials absorbed; residual <= 0"),
+        (-1, CertVerdict.CERTIFIED_TS, "all negative monomials absorbed; residual >= 0"),
+    ):
+        trace = []
+        if _eliminate_oracle(dict(residual), bad_sign, trace):
+            return CertificationResult(verdict, (*trace, last))
+    return CertificationResult(CertVerdict.UNKNOWN, ("no greedy certificate in either direction",))
+
+
+def test_certifier_matches_the_unpruned_search():
+    texts = [Orientation(dirs) for e in range(1, 10) for dirs in product((1, -1), repeat=e)]
+    # the e = 10 pair revisits states whose monomials agree and coefficients
+    # differ, so a failed-state record keyed on the monomials alone shows
+    texts += [">><<>><<>><<", "><<<><<>>>><", ">>><>>><<<", ">>>><<<>><", ">><>><<>><"]
+    verdicts = set()
+    for o in texts:
+        p = expand_path(o)
+        got = certify_sign(p)
+        assert got == _certify_oracle(p), o
+        verdicts.add(got.verdict)
+    assert verdicts == set(CertVerdict)
+
+
+def test_certify_rejects_a_wrong_benchmark_term():
+    p = expand_path(">><<")
+    bad = SPolynomial(p.v, p.e, tuple((k, c * 2 if k == (p.v, ()) else c) for k, c in p.terms))
+    with pytest.raises(InternalAssertionFailed):
+        certify_sign(bad)
+
+
+def test_certify_sign_verdicts_hold_under_python_O():
+    # -O strips asserts: removing the benchmark term must not sit inside one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toursid.__file__)))
+    code = ("import sys; from toursid.cli import main; "
+            "[main(['certify-sign', o, '--json']) for o in sys.argv[1:]]")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, ">><<", ">>>>"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    verdicts = [json.loads(line)["verdict"] for line in proc.stdout.splitlines()]
+    assert verdicts == ["CertifiedTAS", "CertifiedTAS"]
 
 
 def test_certifier_never_wrong_direction_on_short_paths():

@@ -126,6 +126,13 @@ def test_recurrence_beta_past_the_float_range_is_out_of_range(beta):
         lyapunov_estimate("recurrence", steps=100, seed=1, beta=beta)
 
 
+@pytest.mark.parametrize("beta", [F(1, 8), F(7, 9), F(10**400), F(0)])
+def test_fg_mode_takes_no_beta(beta):
+    # the f/g chain has no beta, so one given to it would be echoed unused
+    with pytest.raises(InvalidInput, match="fg mode takes no beta"):
+        lyapunov_estimate("fg", steps=100, seed=1, beta=beta)
+
+
 def test_ratio_support_eighth():
     lo, hi = ratio_support(0.125)
     assert lo == pytest.approx((1 + math.sqrt(2)) / (2 * math.sqrt(2)), abs=1e-12)
