@@ -23,6 +23,7 @@ from .core import Digraph, Orientation, as_orientation, path_digraph
 from .errors import CapExceeded, InternalAssertionFailed, InvalidHost, PreconditionViolated
 from .hom import contract, contract_grad, hom_count, hom_generic
 from .tournament import (
+    ENUMERATION_CAP,
     Tournament,
     WeightedTournament,
     _freeze,
@@ -32,7 +33,6 @@ from .tournament import (
     with_half_loops,
 )
 
-EXHAUSTIVE_CAP = 6
 OPTIMIZER_N_CAP = 12
 RATIONALIZE_MAX_DEN = 10**4
 MAX_ITERS = 200
@@ -243,8 +243,8 @@ def refute(
         raise PreconditionViolated("the exhaustive stage needs n_max >= 1")
     if budget < 0:
         raise PreconditionViolated("the optimizer budget must be >= 0")
-    if n_max > EXHAUSTIVE_CAP:
-        raise CapExceeded(f"exhaustive stage capped at n <= {EXHAUSTIVE_CAP}")
+    if n_max > ENUMERATION_CAP:
+        raise CapExceeded(f"exhaustive stage capped at n <= {ENUMERATION_CAP}")
     d, text, o = _pattern_meta(pattern)
     samples = 0
     for n in range(1, n_max + 1):

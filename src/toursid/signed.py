@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Digraph, _component, _walk, as_cycle, as_orientation
-from .errors import CapExceeded, InvalidInput, OddComponent
+from .errors import CapExceeded, InternalAssertionFailed, InvalidInput, OddComponent
 
 SIGNED_HOST_EDGE_CAP = 40
 
@@ -185,7 +185,8 @@ def signed_count(q: Digraph, d: Digraph) -> int:
             place(idx + 1, used | set(seq), sign * (-1) ** (dis % 2))
 
     place(0, frozenset(), 1)
-    assert total % denom == 0
+    if total % denom:
+        raise InternalAssertionFailed("ordered placements do not divide by the multiplicities")
     return total // denom
 
 

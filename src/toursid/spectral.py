@@ -323,10 +323,11 @@ def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) 
             return False
         bads, goods = [], []
         for k, c in terms.items():
-            (bads if (c > 0) == (bad_sign > 0) else goods).append(k)
+            (bads if (c.numerator > 0) == (bad_sign > 0) else goods).append(k)
         if not bads:
             return True
-        state = frozenset(terms.items())
+        # Fraction.__hash__ is slow; its numerator and denominator hash as ints
+        state = frozenset((k, c.numerator, c.denominator) for k, c in terms.items())
         if state in dead:
             return False
         outer, capped = capped, False

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .core import _read_text
 from .errors import CapExceeded, InvalidInput, MissingHalfLoops, RangeViolated, SizeMismatch
 
-ENUMERATION_CAP = 7
+ENUMERATION_CAP = 6  # the n = 6 stack is 1.2 MB; n = 7 would be 103 MB
 CUTNORM_CAP = 16
 
 _FLOAT_TOL = 1e-12
@@ -154,16 +155,24 @@ def tournament_stack(n: int) -> np.ndarray:
 
     Host k has arc i -> j (i < j) when the bit of pair (i, j) in k is set,
     the pairs taken in row-major upper-triangle order from the most
-    significant bit down: lexicographic upper-triangle bit order.
+    significant bit down: lexicographic upper-triangle bit order.  Each
+    stack is built once per process and shared read-only; under the cap
+    all of them together take 1.2 MB.
     """
     if not (1 <= n <= ENUMERATION_CAP):
         raise CapExceeded(f"enumeration capped at n <= {ENUMERATION_CAP}")
+    return _stack(n)
+
+
+@lru_cache(maxsize=None)
+def _stack(n: int) -> np.ndarray:
     pairs = list(zip(*np.triu_indices(n, 1)))
     masks = np.arange(1 << len(pairs), dtype=np.uint32)
     adj = np.zeros((len(masks), n, n), dtype=np.uint8)
     for k, (i, j) in enumerate(pairs):
         adj[:, i, j] = (masks >> (len(pairs) - 1 - k)) & 1
         adj[:, j, i] = 1 - adj[:, i, j]
+    adj.flags.writeable = False
     return adj
 
 

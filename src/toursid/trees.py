@@ -18,20 +18,29 @@ reproducible.
 The anchored checks (strong TAS and the AM-GM gluing step) count every host
 of size n in one pass: `_labeled_counts` evaluates all injective maps of the
 pattern on the whole 0/1 `tournament_stack(n)` at once, and the first
-violation is taken in host-then-embedding order.
+violation is taken in host-then-embedding order.  Both tables, the stack
+and the maps, are built once per process and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, perm
 
 import numpy as np
 
 from .core import Digraph, Tree, _component, _walk, digraph, tree
-from .errors import CapExceeded, InvalidInput, NotCaterpillar, NotIndependent, PreconditionViolated
+from .errors import (
+    CapExceeded,
+    InternalAssertionFailed,
+    InvalidInput,
+    NotCaterpillar,
+    NotIndependent,
+    PreconditionViolated,
+)
 from .tournament import Tournament, _freeze, tournament_stack
 
 STRONG_TAS_CAP = 5
@@ -146,7 +155,8 @@ def _match_rooted(adj, r1, p1, r2, p2, phi):
         ((rooted_code(adj, y, r2), y) for y in adj[r2] if y != p2)
     )
     for (c1, y1), (c2, y2) in zip(kids1, kids2):
-        assert c1 == c2
+        if c1 != c2:
+            raise InternalAssertionFailed("matched branches are not isomorphic")
         _match_rooted(adj, y1, r1, y2, r2, phi)
 
 
@@ -191,10 +201,12 @@ def _verify_isopair(t: Tree, pair: IsoPair) -> None:
     }
     w2 = pair.phi_dict()[pair.w]
     expected = {tuple(sorted((pair.v, pair.w))), tuple(sorted((pair.v, w2)))}
-    assert cut == expected, "isomorphic pair fails the cut condition"
-    assert not (pair.h1 & pair.h2)
-    for a, b in pair.phi:
-        assert a in pair.h1 and b in pair.h2
+    if cut != expected:
+        raise InternalAssertionFailed("isomorphic pair fails the cut condition")
+    if pair.h1 & pair.h2:
+        raise InternalAssertionFailed("isomorphic pair has overlapping halves")
+    if not all(a in pair.h1 and b in pair.h2 for a, b in pair.phi):
+        raise InternalAssertionFailed("phi does not map h1 into h2")
 
 
 def _subtree(t: Tree, keep: set[int]) -> tuple[Tree, dict[int, int]]:
@@ -256,12 +268,19 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
     """
     n, k = adj.shape[1], len(anchors)
     col = {x: i for i, x in enumerate(list(anchors) + [x for x in range(d.v) if x not in anchors])}
-    maps = np.array(list(permutations(range(n), d.v)), dtype=np.intp)
-    maps = maps.reshape(perm(n, k), perm(max(n - k, 0), d.v - k), d.v)
+    maps = _injective_maps(n, d.v).reshape(perm(n, k), perm(max(n - k, 0), d.v - k), d.v)
     hit = np.ones((len(adj),) + maps.shape[:2], dtype=np.uint8)
     for u, w in d.arcs:
         hit &= adj[:, maps[..., col[u]], maps[..., col[w]]]
     return hit.sum(axis=2, dtype=np.int64)
+
+
+@lru_cache(maxsize=64)
+def _injective_maps(n: int, v: int) -> np.ndarray:
+    """permutations(range(n), v) as one read-only array: at most 120 x 5 under the cap."""
+    maps = np.array(list(permutations(range(n), v)), dtype=np.intp)
+    maps.flags.writeable = False
+    return maps
 
 
 def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:

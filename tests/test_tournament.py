@@ -50,8 +50,11 @@ def test_enumerate_cyclic_triangles():
 
 
 def test_enumerate_cap():
-    with pytest.raises(CapExceeded):
-        next(enumerate_tournaments(8))
+    for n in (7, 8):
+        with pytest.raises(CapExceeded):
+            next(enumerate_tournaments(n))
+        with pytest.raises(CapExceeded):
+            tournament_stack(n)
     with pytest.raises(CapExceeded):
         tournament_stack(0)
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
@@ -8,17 +11,22 @@ import pytest
 from toursid.core import digraph, tree
 from toursid.errors import (
     CapExceeded,
+    InternalAssertionFailed,
     InvalidInput,
     NotCaterpillar,
     NotIndependent,
     PreconditionViolated,
 )
 from toursid.tournament import enumerate_tournaments
+import toursid
 from toursid.trees import (
     PROV_CATERPILLAR,
     PROV_ISO_PAIR,
     PROV_UNKNOWN,
     ExhaustiveReport,
+    IsoPair,
+    _match_rooted,
+    _verify_isopair,
     amgm_check,
     find_isomorphic_pair,
     glued_pair_digraph,
@@ -141,6 +149,41 @@ def test_pair_phi_is_isomorphism():
     for a, b in t.edges:
         if a in phi and b in phi:
             assert frozenset((phi[a], phi[b])) in edges
+
+
+# on the path 0-1-2-3 the leaves {0} and {3} are isomorphic, but not at one vertex
+@pytest.mark.parametrize("t,pair,match", [
+    (tree(4, [(0, 1), (1, 2), (2, 3)]),
+     IsoPair(frozenset({0}), frozenset({3}), 1, 0, ((0, 3),)), "cut condition"),
+    (tree(3, [(0, 1), (1, 2)]),
+     IsoPair(frozenset({0}), frozenset({0, 2}), 1, 0, ((0, 2),)), "overlapping"),
+    (tree(3, [(0, 1), (1, 2)]),
+     IsoPair(frozenset({0}), frozenset({2}), 1, 0, ((0, 2), (1, 2))), "into h2"),
+], ids=["cut", "overlap", "domain"])
+def test_verify_isopair_rejects_broken_pairs(t, pair, match):
+    with pytest.raises(InternalAssertionFailed, match=match):
+        _verify_isopair(t, pair)
+
+
+def test_match_rooted_rejects_unlike_branches():
+    # branches 1 -> 3 and 2 -> 4 -> 5 hang at 0 with one child each
+    adj = tree(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)]).adjacency()
+    with pytest.raises(InternalAssertionFailed):
+        _match_rooted(adj, 1, 0, 2, 0, {})
+
+
+def test_verify_isopair_still_checks_under_python_O():
+    script = ("from toursid.core import tree\n"
+              "from toursid.trees import IsoPair, _verify_isopair\n"
+              "try:\n"
+              "    _verify_isopair(tree(4, [(0, 1), (1, 2), (2, 3)]),\n"
+              "                    IsoPair(frozenset({0}), frozenset({3}), 1, 0, ((0, 3),)))\n"
+              "except Exception as exc:\n"
+              "    print(type(exc).__name__)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toursid.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout == "InternalAssertionFailed\n"
 
 
 def test_orient_123_caterpillar_branch():
