@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .tournament import (
     Tournament,
     WeightedTournament,
     _freeze,
+    half_loop_stack,
     skew_decompose,
     tournament_stack,
     transitive,
@@ -34,6 +36,7 @@ from .tournament import (
 )
 
 OPTIMIZER_N_CAP = 12
+OPTIMIZER_BUDGET_CAP = 1024  # random starts; each holds about 28 KB of floats at n = 12
 RATIONALIZE_MAX_DEN = 10**4
 MAX_ITERS = 200
 GRAD_TOL = 1e-9
@@ -128,7 +131,17 @@ class OptimizeResult:
 
 def _hosts(b: np.ndarray) -> np.ndarray:
     """The weighted hosts 1/2 + B - B^T of a stack of strict upper triangles B."""
-    return 0.5 + b - np.swapaxes(b, -1, -2)
+    a = b + 0.5
+    a -= np.swapaxes(b, -1, -2)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _upper(n: int) -> np.ndarray:
+    """The read-only mask of the strict upper triangle of an n x n matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _gradient(d: Digraph, a: np.ndarray) -> np.ndarray:
@@ -138,17 +151,21 @@ def _gradient(d: Digraph, a: np.ndarray) -> np.ndarray:
     up and A(j, i) down.
     """
     dA = contract_grad(d, a)
-    return np.triu(dA - np.swapaxes(dA, -1, -2), 1)
+    return np.where(_upper(a.shape[-1]), dA - np.swapaxes(dA, -1, -2), 0)
 
 
+@lru_cache(maxsize=None)
 def _warm_starts(n: int) -> np.ndarray:
+    """The read-only warm starts at n, each a strict upper triangle."""
     starts = [skew_decompose(with_half_loops(transitive(n))).entries]
     if n == 3:
         starts.append(skew_decompose(known_certificate("PerturbedCyclic").host).entries)
         starts.append(np.array(named_kernel("MBalanced").matrix.entries, dtype=float) * 0.25)
     if n == 2:
         starts.append(np.array(named_kernel("B1").matrix.entries, dtype=float) * 0.25)
-    return np.triu(np.array(starts, dtype=float), 1)
+    warm = np.triu(np.array(starts, dtype=float), 1)
+    warm.flags.writeable = False
+    return warm
 
 
 def optimize_density(
@@ -165,18 +182,25 @@ def optimize_density(
     Warm starts include the transitive host and, where sizes match, the
     named kernels and the perturbed cyclic host.  All starts form one stack
     b[R, n, n] on the kernel: each step takes the gradient of every moving
-    start at once, and each kernel call of the halving line search tries
-    the next HALVINGS_PER_CALL step sizes of every start still searching,
-    keeping the largest that improves.  Each start keeps its own step and
-    stops on its own, at a vanishing gradient, a failed line search or
-    MAX_ITERS steps.
+    start at once, then halves the step 0.5 / max(gmax, 1) until it
+    improves (Armijo backtracking with a zero slope constant) and keeps the
+    largest halving that does.  Each kernel call of that line search tries,
+    for every start still searching, the halvings up to one past the one
+    that won at its last step; a start that is fresh, or found no winner in
+    its call, tries the next HALVINGS_PER_CALL.  The candidates of all
+    starts lie in one stack, so a start's result does not depend on the
+    others.  Each start stops on its own, at a vanishing gradient, a failed
+    line search or MAX_ITERS steps.
     """
     if n > OPTIMIZER_N_CAP:
         raise CapExceeded(f"optimizer capped at n <= {OPTIMIZER_N_CAP}")
+    if restarts > OPTIMIZER_BUDGET_CAP:
+        raise CapExceeded(f"optimizer budget capped at {OPTIMIZER_BUDGET_CAP} restarts")
     if objective not in ("maximize", "minimize"):
         raise ValueError("objective must be 'maximize' or 'minimize'")
     d, _, _ = _pattern_meta(pattern)
     sign = 1.0 if objective == "maximize" else -1.0
+    improves = np.greater if objective == "maximize" else np.less
     rng = random.Random(seed)
     iu, ju = np.triu_indices(n, 1)
     drawn = np.zeros((restarts, n, n))
@@ -187,6 +211,7 @@ def optimize_density(
     accepted = np.full((MAX_ITERS + 1, len(b)), np.nan)  # accepted[t, r]: start r after step t
     accepted[0] = val
     moving = np.arange(len(b))
+    width = np.full(len(b), HALVINGS_PER_CALL)  # halvings the next step first tries
     iterations = 0
     for t in range(1, MAX_ITERS + 1):
         iterations += moving.size
@@ -195,21 +220,36 @@ def optimize_density(
         steep = gmax > GRAD_TOL
         moving, grad, step = moving[steep], grad[steep], 0.5 / np.maximum(gmax[steep], 1.0)
         moved = np.zeros(moving.size, dtype=bool)
+        tried = np.zeros(moving.size, dtype=int)  # halvings tried so far at this step
+        window = width[moving]
         searching = step > MIN_STEP
         while searching.any():
+            # start i[j] tries halvings tried .. tried + window - 1; the
+            # candidates lie start after start in one stack
             i = np.flatnonzero(searching)
-            steps = step[i, None] / 2.0 ** np.arange(HALVINGS_PER_CALL)
-            cand = np.clip(b[moving[i], None] + (sign * steps)[..., None, None] * grad[i, None],
-                           -0.5, 0.5)
+            w = window[i]
+            first = np.cumsum(w) - w
+            owner = np.repeat(i, w)
+            k = np.arange(owner.size) - np.repeat(first - tried[i], w)
+            steps = np.ldexp(step[owner], -k)
+            cand = grad[owner]
+            cand *= (sign * steps)[:, None, None]
+            cand += b[moving[owner]]
+            np.clip(cand, -0.5, 0.5, out=cand)
             cval = contract(d, _hosts(cand))
-            won = (sign * (cval - val[moving[i], None]) > 0) & (steps > MIN_STEP)
-            hit, first = won.any(axis=1), won.argmax(axis=1)
-            rows = moving[i[hit]]
-            b[rows], val[rows] = cand[hit, first[hit]], cval[hit, first[hit]]
+            won = improves(cval, val[moving[owner]]) & (steps > MIN_STEP)
+            pick = np.minimum.reduceat(np.where(won, np.arange(won.size), won.size), first)
+            hit = pick < won.size  # pick: each start's first (largest) winning step
+            rows, pick = moving[i[hit]], pick[hit]
+            b[rows], val[rows] = cand[pick], cval[pick]
             accepted[t, rows] = val[rows]
+            width[rows] = k[pick] + 2  # up to one past the winning halving
             moved[i[hit]] = True
-            step[i] = steps[:, -1] / 2
-            searching[i] = ~hit & (step[i] > MIN_STEP)
+            if hit.all():
+                break
+            tried[i] += w
+            window[i] = HALVINGS_PER_CALL
+            searching[i] = ~hit & (np.ldexp(step[i], -tried[i]) > MIN_STEP)
         moving = moving[moved]
         if not moving.size:
             break
@@ -234,8 +274,8 @@ def refute(
     in int64 under the kernel's overflow guard, so it yields 2^e h exactly,
     to be compared with n^v.  At the first n with a strict violation, the
     lowest-index violating host is rebuilt and rechecked on hom_generic
-    before it becomes the certificate.  budget counts optimizer restarts;
-    0 skips stage 2.
+    before it becomes the certificate.  budget counts optimizer restarts,
+    at most OPTIMIZER_BUDGET_CAP; 0 skips stage 2.
     """
     if mode not in (MODE_TAS, MODE_TS):
         raise ValueError("mode must be 'TAS' or 'TS'")
@@ -243,13 +283,15 @@ def refute(
         raise PreconditionViolated("the exhaustive stage needs n_max >= 1")
     if budget < 0:
         raise PreconditionViolated("the optimizer budget must be >= 0")
+    if budget > OPTIMIZER_BUDGET_CAP:
+        raise CapExceeded(f"optimizer budget capped at {OPTIMIZER_BUDGET_CAP} restarts")
     if n_max > ENUMERATION_CAP:
         raise CapExceeded(f"exhaustive stage capped at n <= {ENUMERATION_CAP}")
     d, text, o = _pattern_meta(pattern)
     samples = 0
     for n in range(1, n_max + 1):
         adj = tournament_stack(n)
-        counts = contract(d, 2 * adj + np.eye(n, dtype=adj.dtype))
+        counts = contract(d, half_loop_stack(n))
         target = n**d.v
         samples += len(adj)
         hits = np.flatnonzero(_violates(mode, counts, target))

@@ -316,7 +316,9 @@ def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) 
     dead: set[frozenset] = set()
     capped = False  # did the subtree being searched meet the depth cap?
 
-    def search(terms: dict[TermKey, Fraction], depth: int) -> bool:
+    def search(terms: dict[TermKey, Fraction], state: frozenset, depth: int) -> bool:
+        # state: the terms as (monomial, numerator, denominator) triples, a
+        # key that hashes ints where Fraction.__hash__ is slow
         nonlocal capped
         if depth > 64:
             capped = True
@@ -326,8 +328,6 @@ def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) 
             (bads if (c.numerator > 0) == (bad_sign > 0) else goods).append(k)
         if not bads:
             return True
-        # Fraction.__hash__ is slow; its numerator and denominator hash as ints
-        state = frozenset((k, c.numerator, c.denominator) for k, c in terms.items())
         if state in dead:
             return False
         outer, capped = capped, False
@@ -340,21 +340,28 @@ def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) 
             if frac is None:
                 continue
             moved = coeff * frac  # n-power lands exactly on the partner by degree
+            partner = (gz, gruns)
+            old = terms[partner]
             nxt = dict(terms)
             del nxt[worst]
-            nxt[(gz, gruns)] = nxt.get((gz, gruns), Fraction(0)) + moved
-            if nxt[(gz, gruns)] == 0:
-                del nxt[(gz, gruns)]
-            if search(nxt, depth + 1):
+            new = nxt[partner] = old + moved
+            gone = {(worst, coeff.numerator, coeff.denominator),
+                    (partner, old.numerator, old.denominator)}
+            if new == 0:
+                del nxt[partner]
+                child = state - gone
+            else:  # the child's key is its parent's with two triples swapped for one
+                child = (state - gone) | {(partner, new.numerator, new.denominator)}
+            if search(nxt, child, depth + 1):
                 trace.insert(0, f"bound {_mono_text(worst, coeff)} by "
-                                f"{_mono_text((gz, gruns), moved)} and cancel")
+                                f"{_mono_text(partner, moved)} and cancel")
                 return True
         if not capped:
             dead.add(state)
         capped = capped or outer
         return False
 
-    return search(terms, 0)
+    return search(terms, frozenset((k, c.numerator, c.denominator) for k, c in terms.items()), 0)
 
 
 def _mono_text(key: TermKey, coeff: Fraction) -> str:

@@ -176,6 +176,18 @@ def _stack(n: int) -> np.ndarray:
     return adj
 
 
+@lru_cache(maxsize=None)
+def half_loop_stack(n: int) -> np.ndarray:
+    """The integer matrices 2A + I of tournament_stack(n), in its order.
+
+    Each is twice the half-loop host of a tournament.  Built once per n and
+    shared read-only, like the stack; under the cap they too take 1.2 MB.
+    """
+    twice = 2 * tournament_stack(n) + np.eye(n, dtype=np.uint8)
+    twice.flags.writeable = False
+    return twice
+
+
 def enumerate_tournaments(n: int) -> Iterator[Tournament]:
     """All tournaments on n vertices, in the order of tournament_stack."""
     for adj in tournament_stack(n):

@@ -146,6 +146,17 @@ def test_recurrence_beta_past_the_float_range_is_a_structured_error(capsys):
     assert json.loads(err)["error"] == "DiscriminantNegative"
 
 
+def test_verify_budget_past_the_cap_is_a_structured_error(capsys, monkeypatch):
+    from toursid import search
+
+    monkeypatch.setattr(search, "contract", lambda d, a: pytest.fail("contract ran"))
+    code, out, err = run_cli(capsys, "verify", "--mode", "tas", "--pattern", ">><<",
+                             "--budget", str(search.OPTIMIZER_BUDGET_CAP + 1), "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "CapExceeded"
+
+
 def test_verify_takes_a_negative_seed(capsys):
     # the optimizer seeds Python's random, which takes any integer
     code, out, err = run_cli(capsys, "verify", "--mode", "tas", "--pattern", "><",

@@ -9,7 +9,7 @@ from test_cli import GOLDEN_FILES
 from toursid import tournament, trees
 from toursid.core import parse_digraph_text, path_digraph
 from toursid.search import MODE_TAS, MODE_TS, refute
-from toursid.tournament import ENUMERATION_CAP, tournament_stack
+from toursid.tournament import ENUMERATION_CAP, half_loop_stack, tournament_stack
 from toursid.trees import _injective_maps, amgm_check, strong_tas_check
 
 GOLDEN_DIGRAPHS = [parse_digraph_text(text) for text in GOLDEN_FILES.values()
@@ -19,11 +19,13 @@ PATHS = [path_digraph("".join(dirs)) for e in range(1, 6) for dirs in product("<
 
 def _clear():
     tournament._stack.cache_clear()
+    tournament.half_loop_stack.cache_clear()
     trees._injective_maps.cache_clear()
 
 
 def test_tables_are_shared_and_read_only():
     for table, again in ((tournament_stack(4), tournament_stack(4)),
+                         (half_loop_stack(4), half_loop_stack(4)),
                          (_injective_maps(5, 3), _injective_maps(5, 3))):
         assert table is again
         with pytest.raises(ValueError):
@@ -38,6 +40,7 @@ def test_cached_stacks_stay_small():
     total = sum(tournament_stack(n).nbytes for n in range(1, ENUMERATION_CAP + 1))
     assert tournament._stack.cache_info().currsize == ENUMERATION_CAP
     assert total <= 1_300_000
+    assert sum(half_loop_stack(n).nbytes for n in range(1, ENUMERATION_CAP + 1)) == total
 
 
 def _reports(d):

@@ -263,3 +263,32 @@ def test_optimizer_verdicts_on_short_paths_are_pinned():
                     if rep.violation is not None:
                         got["".join(dirs), mode, n] = rep.violation.value
     assert got == PINNED_VIOLATIONS
+
+
+def test_budget_past_the_cap_raises_before_any_kernel_call(monkeypatch):
+    from toursid import search
+
+    def never(d, a):
+        raise AssertionError("contract ran")
+
+    monkeypatch.setattr(search, "contract", never)
+    monkeypatch.setattr(search, "contract_grad", never)
+    over = search.OPTIMIZER_BUDGET_CAP + 1
+    with pytest.raises(CapExceeded):
+        refute(">><<", MODE_TAS, n_max=2, budget=over, seed=0)
+    with pytest.raises(CapExceeded):
+        optimize_density(">><<", n=3, restarts=over)
+
+
+def test_refute_passes_the_kernel_one_shared_half_loop_stack(monkeypatch):
+    from toursid import search
+
+    seen = []
+    monkeypatch.setattr(search, "contract", lambda d, a: seen.append(a) or contract(d, a))
+    for _ in range(2):
+        refute(">><<", MODE_TAS, n_max=4)
+    assert len(seen) == 8 and all(a is b for a, b in zip(seen[:4], seen[4:]))
+    for n, a in enumerate(seen[:4], 1):
+        assert a.shape[1:] == (n, n) and a.dtype == np.uint8 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 0
