@@ -14,12 +14,17 @@ integers a Python int; float hosts run unscaled, as floats.
 Evaluators:
 
 * contract    -- the kernel for every pattern and a whole stack of hosts at
-                 once: eliminates the pattern's vertices one by one, each step
-                 one einsum (the tree-decomposition method of Diaz, Serna and
-                 Thilikos, "Counting H-colorings of partial k-trees", TCS
-                 2002).  The elimination plan depends only on the pattern and
-                 is cached.  Integer stacks run in int64 when fits_int64
-                 bounds every partial sum below 2^63, and in object ints
+                 once: eliminates the pattern's vertices one by one (the
+                 tree-decomposition method of Diaz, Serna and Thilikos,
+                 "Counting H-colorings of partial k-trees", TCS 2002).  The
+                 elimination plan depends only on the pattern and is cached.
+                 Each step is one einsum, except that on an exact stack a
+                 step on exactly two matrix factors (a vertex of a cycle or
+                 the square with two neighbours) is one batched np.matmul,
+                 several times faster.  Float stacks keep the einsum: matmul
+                 sums in another order and would change the optimizer's
+                 bits.  Integer stacks run in int64 when fits_int64 bounds
+                 every partial sum below 2^63, and in object ints
                  otherwise; object arrays of Fractions stay exact too.
 * contract_grad -- dh/dA for every host in a stack in one reverse sweep
                  through the same plan, for the optimizer's gradient; float
@@ -210,6 +215,14 @@ def contract(d: Digraph, a):
     appear.  Each einsum names only the vertices of its own step, so long
     patterns stay within einsum's 52 letters.
 
+    On an int64 or object stack, a step whose operands are exactly two
+    2-label factors is the batched matrix product of the two, transposed as
+    the plan says, and runs as one np.matmul instead.  Its sums hold the
+    same products, so the count is the same and fits_int64 still bounds
+    every partial sum.  Float stacks run every step as its einsum: matmul
+    adds in another order, and the optimizer's results are pinned bit for
+    bit.
+
     An integer stack runs in int64 when fits_int64 holds for its largest
     |entry|, checked once before any arithmetic, and in object ints
     otherwise.
@@ -251,7 +264,7 @@ def contract_grad(d: Digraph, a):
     _eliminate(plan, stack, tape)
     ones = np.ones(n, dtype=a.dtype)
     adj = {(): np.ones(len(stack), dtype=a.dtype)}
-    for (keys, _, rest, back), (ops, t, old) in zip(reversed(plan.steps), reversed(tape)):
+    for (keys, _, rest, back, _), (ops, t, old) in zip(reversed(plan.steps), reversed(tape)):
         g = adj.pop(rest)
         if old is not None:
             adj[rest] = g * t
@@ -272,15 +285,24 @@ def contract_grad(d: Digraph, a):
 def _eliminate(plan: _Plan, a, tape: list | None = None) -> dict:
     """Run a plan's steps on the stack a; the last factor is labelled ().
 
-    With a tape, each step appends its operands, its einsum result and the
-    factor that result was merged into (None for a new one).
+    A step with a matmul form runs as np.matmul on an int64 or object stack
+    and as its einsum on any other, as contract says.  With a tape, each
+    step appends its operands, its result and the factor that result was
+    merged into (None for a new one).
     """
     make = {"a": lambda: a, "t": lambda: a.swapaxes(-1, -2),
             "1": lambda: np.ones(a.shape[-1], dtype=a.dtype)}
     factors = {labels: make[part]() for labels, part in plan.init}
-    for keys, spec, rest, _ in plan.steps:
+    exact = a.dtype.kind in "iO"
+    for keys, spec, rest, _, mm in plan.steps:
         ops = [factors.pop(k) for k in keys]
-        t = np.einsum(spec, *ops)
+        if exact and mm:
+            i, flip_left, flip_right = mm
+            left, right = ops[i], ops[1 - i]
+            t = np.matmul(left.swapaxes(-1, -2) if flip_left else left,
+                          right.swapaxes(-1, -2) if flip_right else right)
+        else:
+            t = np.einsum(spec, *ops)
         old = factors.get(rest)
         factors[rest] = t if old is None else old * t
         if tape is not None:
@@ -295,10 +317,15 @@ class _Plan:
     init: each initial factor's labels and part, "a" = A, "t" = A^T (the arc
     runs from the higher label to the lower) or "1" = the ones vector (an
     isolated vertex).  steps: the operand labels, the einsum spec, the
-    labels the result joins, and per operand the spec that turns the
+    labels the result joins, per operand the spec that turns the
     result's adjoint and the other operands (then the ones vector on the
     eliminated label, when it is the only operand) into that operand's
-    adjoint.
+    adjoint, and the step's matmul form.  A step has one when its operands
+    are exactly two 2-label factors, on (x, y) and (x, z) with x eliminated
+    and y < z: the form (i, flip_left, flip_right) takes operand i as left,
+    the other as right, and transposes each where it is flagged, so that
+    left @ right is the result, axes in the sorted order (y, z).  Other
+    steps have None.
     """
 
     init: tuple
@@ -325,7 +352,11 @@ def _plan(arcs: tuple, v: int) -> _Plan:
         rest = tuple(sorted(_vertices(on_x) - {x}))
         carry = ((x,),) if len(on_x) == 1 else ()
         back = tuple(_spec((rest, *on_x[:i], *on_x[i + 1:], *carry), k) for i, k in enumerate(on_x))
-        steps.append((on_x, _spec(on_x, rest), rest, back))
+        mm = None
+        if len(on_x) == 2 and all(len(k) == 2 for k in on_x):
+            i = 0 if rest[0] in on_x[0] else 1  # left holds (y, x), right (x, z)
+            mm = (i, on_x[i][0] == x, on_x[1 - i][1] == x)
+        steps.append((on_x, _spec(on_x, rest), rest, back, mm))
         live.setdefault(rest)
     return _Plan(tuple(init.items()), tuple(steps))
 

@@ -264,14 +264,17 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
 
     Entry [s, a] counts the maps into host s that send `anchors` to the a-th
     tuple of permutations(range(n), len(anchors)); listing the maps anchors
-    first groups them in that order.
+    first groups them in that order.  Each arc's entries come from one
+    np.take on the stack flattened to rows of n * n, at the flat index
+    phi(u) * n + phi(w) of every map phi.
     """
     n, k = adj.shape[1], len(anchors)
     col = {x: i for i, x in enumerate(list(anchors) + [x for x in range(d.v) if x not in anchors])}
     maps = _injective_maps(n, d.v).reshape(perm(n, k), perm(max(n - k, 0), d.v - k), d.v)
+    flat = adj.reshape(len(adj), n * n)
     hit = np.ones((len(adj),) + maps.shape[:2], dtype=np.uint8)
     for u, w in d.arcs:
-        hit &= adj[:, maps[..., col[u]], maps[..., col[w]]]
+        hit &= np.take(flat, maps[..., col[u]] * n + maps[..., col[w]], axis=1)
     return hit.sum(axis=2, dtype=np.int64)
 
 

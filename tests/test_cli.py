@@ -521,6 +521,37 @@ GOLDEN_SCANS = [
      '{"mode":"TS","n_checked":2,"pattern":"digraph(v=6,e=5)",'
      '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
      '"threshold":"2/1","value":"9/8"}}\n'),
+    # n = 5 and 6, recorded while every exact step still ran as an einsum:
+    # the TAS scans reach the stacks on which the two-matrix steps run as
+    # matmul; the TS scans stop at their violation at n = 2
+    (["verify", "--mode", "tas", "--pattern-file", "square.dg", "--max-n", "5", "--json"],
+     '{"mode":"TAS","n_checked":5,"pattern":"digraph(v=4,e=4)",'
+     '"samples":1099,"violation":null}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "square.dg", "--max-n", "6", "--json"],
+     '{"mode":"TAS","n_checked":6,"pattern":"digraph(v=4,e=4)",'
+     '"samples":33867,"violation":null}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "square.dg", "--max-n", "5", "--json"],
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=4,e=4)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"1/1","value":"7/8"}}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "square.dg", "--max-n", "6", "--json"],
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=4,e=4)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"1/1","value":"7/8"}}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "cycle5.dg", "--max-n", "5", "--json"],
+     '{"mode":"TAS","n_checked":5,"pattern":"digraph(v=5,e=5)",'
+     '"samples":1099,"violation":null}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "cycle5.dg", "--max-n", "6", "--json"],
+     '{"mode":"TAS","n_checked":6,"pattern":"digraph(v=5,e=5)",'
+     '"samples":33867,"violation":null}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "cycle5.dg", "--max-n", "5", "--json"],
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=5,e=5)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"1/1","value":"1/16"}}\n'),
+    (["verify", "--mode", "ts", "--pattern-file", "cycle5.dg", "--max-n", "6", "--json"],
+     '{"mode":"TS","n_checked":2,"pattern":"digraph(v=5,e=5)",'
+     '"samples":3,"violation":{"direction":"ViolatesTS","pattern":null,'
+     '"threshold":"1/1","value":"1/16"}}\n'),
     (["hom", "--pattern-cycle", ">><", "--host-file", "host.wt", "--json"],
      '{"h":"33751/10000","pattern":"cycle >><","t":"33751/270000"}\n'),
     (["hom", "--pattern-cycle", ">>>>>", "--host-file", "host.wt"],

@@ -16,6 +16,7 @@ from toursid.core import (
 from toursid.construct import named_kernel
 from toursid.errors import CapExceeded
 from toursid.hom import (
+    _plan,
     contract,
     contract_grad,
     hom_count,
@@ -491,3 +492,109 @@ def test_numpy_integer_hosts_count_exactly_in_python_ints():
                         hom_generic(path_digraph(o), host).raw,
                         hom_path(o, host).raw):
                 assert type(got) is int and got == want
+
+
+# Patterns whose elimination has a two-matrix step, which an exact stack runs
+# as one matmul: the square, the directed 4- and 5-cycles, the directed
+# 4-cycle 0 -> 1 -> 3 -> 2 -> 0 (its second step takes its second operand as
+# the left one), two 5-cycles of mixed orientation, K4 minus an arc (each of
+# its operands transposed in turn), and the transitive K4 with a cyclic
+# triangle hung at vertex 3, whose plan also eliminates a vertex with three
+# neighbours through its einsum.
+MATMUL_PATTERNS = [
+    digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    cycle_digraph(">>>>"),
+    digraph(4, [(0, 1), (1, 3), (3, 2), (2, 0)]),
+    cycle_digraph(">>>>>"),
+    cycle_digraph(">><><"),
+    cycle_digraph("><<<>"),
+    digraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    digraph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3)]),
+]
+
+
+def _matmul_steps(d):
+    return [step for step in _plan(tuple(d.arcs), d.v).steps if step[-1]]
+
+
+def test_plan_marks_its_two_matrix_steps():
+    assert len(_matmul_steps(MATMUL_PATTERNS[0])) == 2
+    assert _matmul_steps(path_digraph(">><<>")) == []
+    for d in MATMUL_PATTERNS:
+        assert _matmul_steps(d), d
+    # the K4 with a triangle also has a step whose result is a 3-label factor
+    mixed = _plan(tuple(MATMUL_PATTERNS[-1].arcs), 6)
+    assert any(len(rest) == 3 for _, _, rest, _, _ in mixed.steps)
+
+
+def test_matmul_steps_match_the_brute_force():
+    # every 2A + I host n <= 4 (uint8, run in int64), seeded int64 hosts at
+    # n = 6 and object ints and Fractions against hom_generic
+    for n in (1, 2, 3, 4):
+        stack = 2 * tournament_stack(n) + np.eye(n, dtype=np.uint8)
+        for d in MATMUL_PATTERNS:
+            counts = contract(d, stack)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [hom_generic(d, h.tolist()).raw for h in stack], (d, n)
+    ints = np.random.default_rng(15).integers(-3, 4, (4, 6, 6))
+    fractions = half_loop_stack(3)
+    for d in MATMUL_PATTERNS:
+        counts = contract(d, ints)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [hom_generic(d, h.tolist()).raw for h in ints], d
+        assert contract(d, fractions).tolist() == [hom_generic(d, h.tolist()).raw
+                                                   for h in fractions], d
+
+
+def test_matmul_steps_run_object_ints_past_the_guard():
+    # the directed 17-cycle on n = 2 with entries up to 8: the bound is 2^68,
+    # so the stack runs as object ints; the all-8 host gives 2^17 * 8^17
+    from toursid.hom import fits_int64
+
+    d = cycle_digraph(">" * 17)
+    assert not fits_int64(2, d.v, d.e, 8)
+    rng = np.random.default_rng(17)
+    stack = np.concatenate([np.full((1, 2, 2), 8), rng.integers(-8, 9, (3, 2, 2))])
+    counts = contract(d, stack)
+    assert counts.dtype == object
+    assert counts.tolist() == [hom_generic(d, h.tolist()).raw for h in stack]
+    assert counts[0] == 2**68
+
+
+def test_matmul_steps_count_fraction_hosts_through_hom_count():
+    for seed in (1, 2, 3):
+        t = random_tournament(5, seed=seed)
+        rng = np.random.default_rng(seed)
+        rows = [[Fraction(int(x), 7) for x in row] for row in rng.integers(0, 8, (5, 5))]
+        for d in MATMUL_PATTERNS:
+            for host in (with_half_loops(t), rows):
+                got = hom_count(d, host)
+                assert type(got.raw) is Fraction
+                assert got == hom_generic(d, host), (d, seed)
+
+
+# The float bits of contract and contract_grad on a seeded float stack,
+# recorded while every float step ran as its einsum.  Matmul sums in another
+# order, so sending float steps through it changes these bits and with them
+# the optimizer's pinned results.
+FLOAT_BITS = {
+    "square": (digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+               ['0x1.3882268f9d622p+6', '0x1.793e442346e66p+4', '0x1.0500c16664c98p+6',
+                '0x1.ad47221a80588p+5', '0x1.d74ed6c70de7ap+5', '0x1.a759cc51a702ap+5'],
+               "c0159b614ebee99c747cafa030d846fe27566c6dc8e9477b5d5925ff47c3ca29"),
+    "cycle5": (cycle_digraph(">>>>>"),
+               ['0x1.b87fb8b9e035ap+7', '0x1.374229ddfd258p+5', '0x1.6e557f3873c4bp+7',
+                '0x1.f444682dedbc6p+6', '0x1.1f5424b49baf4p+7', '0x1.e5c574ed5facap+6'],
+               "9a1cc52dd950dcc3d5fbdffba5ef77eb4f6a10eafef9c96abcdc1e04c2ffa355"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_BITS))
+def test_float_stacks_keep_their_einsum_bits(name):
+    import hashlib
+
+    d, values, grad_digest = FLOAT_BITS[name]
+    a = np.random.default_rng(15).random((6, 5, 5))
+    assert [float(x).hex() for x in contract(d, a)] == values
+    grad = ",".join(float(x).hex() for x in contract_grad(d, a).ravel())
+    assert hashlib.sha256(grad.encode()).hexdigest() == grad_digest

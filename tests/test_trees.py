@@ -17,7 +17,7 @@ from toursid.errors import (
     NotIndependent,
     PreconditionViolated,
 )
-from toursid.tournament import enumerate_tournaments
+from toursid.tournament import enumerate_tournaments, tournament_stack
 import toursid
 from toursid.trees import (
     PROV_CATERPILLAR,
@@ -25,6 +25,7 @@ from toursid.trees import (
     PROV_UNKNOWN,
     ExhaustiveReport,
     IsoPair,
+    _labeled_counts,
     _match_rooted,
     _verify_isopair,
     amgm_check,
@@ -383,3 +384,25 @@ def test_strong_tas_wide_pattern_needs_no_wide_integers():
     d = digraph(12, list(combinations(range(12), 2)))
     rep = strong_tas_check(d, [], n_max=5)
     assert rep == _strong_tas_by_host_loop(d, [], 5) == ExhaustiveReport(True, 1099, None)
+
+
+def test_labeled_counts_match_the_permutation_count():
+    # the benchmark's anchored patterns and glued pairs on every host n <= 4,
+    # against a per-host count over itertools.permutations; v > n and
+    # |anchors| > n leave an empty axis
+    p2, p4a = digraph(3, [(0, 1), (1, 2)]), digraph(4, [(0, 1), (1, 2), (2, 3)])
+    cases = [(p2, (1,)), (p4a, (0, 2)), (digraph(4, [(0, 1), (2, 1), (2, 3)]), (1,))]
+    for h, w in ((digraph(1, []), 0), (digraph(2, [(0, 1)]), 1), (p2, 1)):
+        d, v_new, _ = glued_pair_digraph(h, w)
+        cases += [(h, ()), (d, (v_new,))]
+    for n in (1, 2, 3, 4):
+        adj = tournament_stack(n)
+        for d, anchors in cases:
+            counts = _labeled_counts(d, adj, anchors)
+            images = list(permutations(range(n), len(anchors)))
+            assert counts.shape == (len(adj), len(images))
+            want = [[_copies_by_anchor_image(d, host, anchors)[image] for image in images]
+                    for host in _hosts(n)]
+            assert counts.tolist() == want, (d.arcs, anchors, n)
+    assert _labeled_counts(p4a, tournament_stack(3), (0, 2)).tolist() == [[0] * 6] * 8
+    assert _labeled_counts(p4a, tournament_stack(1), (0, 2)).shape == (1, 0)
