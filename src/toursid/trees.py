@@ -43,7 +43,7 @@ from .errors import (
 )
 from .tournament import Tournament, _freeze, tournament_stack
 
-STRONG_TAS_CAP = 5
+STRONG_TAS_CAP = 6
 
 PROV_CATERPILLAR = "CaterpillarRule"
 PROV_ISO_PAIR = "IsoPairRecursion"
@@ -264,23 +264,28 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
 
     Entry [s, a] counts the maps into host s that send `anchors` to the a-th
     tuple of permutations(range(n), len(anchors)); listing the maps anchors
-    first groups them in that order.  Each arc's entries come from one
-    np.take on the stack flattened to rows of n * n, at the flat index
-    phi(u) * n + phi(w) of every map phi.
+    first groups them in that order.  The stack is transposed once so that
+    row p * n + q holds A[p, q] of every host; each arc then gathers whole
+    rows, one per map phi at phi(u) * n + phi(w), into an (anchor images,
+    completions, hosts) array.  With no injective map the counts are zero
+    and the stack is not read.
     """
     n, k = adj.shape[1], len(anchors)
+    shape = (perm(n, k), perm(max(n - k, 0), d.v - k))
+    if 0 in shape:
+        return np.zeros((len(adj), shape[0]), dtype=np.int64)
     col = {x: i for i, x in enumerate(list(anchors) + [x for x in range(d.v) if x not in anchors])}
-    maps = _injective_maps(n, d.v).reshape(perm(n, k), perm(max(n - k, 0), d.v - k), d.v)
-    flat = adj.reshape(len(adj), n * n)
-    hit = np.ones((len(adj),) + maps.shape[:2], dtype=np.uint8)
+    maps = _injective_maps(n, d.v).reshape(shape + (d.v,))
+    rows = np.ascontiguousarray(adj.reshape(len(adj), n * n).T)
+    hit = np.ones(shape + (len(adj),), dtype=np.uint8)
     for u, w in d.arcs:
-        hit &= np.take(flat, maps[..., col[u]] * n + maps[..., col[w]], axis=1)
-    return hit.sum(axis=2, dtype=np.int64)
+        hit &= rows[maps[..., col[u]] * n + maps[..., col[w]]]
+    return hit.sum(axis=1, dtype=np.int64).T
 
 
 @lru_cache(maxsize=64)
 def _injective_maps(n: int, v: int) -> np.ndarray:
-    """permutations(range(n), v) as one read-only array: at most 120 x 5 under the cap."""
+    """permutations(range(n), v) as one read-only array: at most 720 x 6 under the cap."""
     maps = np.array(list(permutations(range(n), v)), dtype=np.intp)
     maps.flags.writeable = False
     return maps

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from toursid.core import digraph, tree
@@ -17,12 +19,13 @@ from toursid.errors import (
     NotIndependent,
     PreconditionViolated,
 )
-from toursid.tournament import enumerate_tournaments, tournament_stack
+from toursid.tournament import Tournament, enumerate_tournaments, tournament_stack
 import toursid
 from toursid.trees import (
     PROV_CATERPILLAR,
     PROV_ISO_PAIR,
     PROV_UNKNOWN,
+    STRONG_TAS_CAP,
     ExhaustiveReport,
     IsoPair,
     _labeled_counts,
@@ -244,7 +247,7 @@ def test_strong_tas_anchors_must_be_vertices(anchors):
 
 def test_strong_tas_cap():
     with pytest.raises(CapExceeded):
-        strong_tas_check(digraph(2, [(0, 1)]), [0], n_max=6)
+        strong_tas_check(digraph(2, [(0, 1)]), [0], n_max=STRONG_TAS_CAP + 1)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -387,22 +390,65 @@ def test_strong_tas_wide_pattern_needs_no_wide_integers():
 
 
 def test_labeled_counts_match_the_permutation_count():
-    # the benchmark's anchored patterns and glued pairs on every host n <= 4,
-    # against a per-host count over itertools.permutations; v > n and
-    # |anchors| > n leave an empty axis
+    # the benchmark's anchored patterns and glued pairs on every host n <= 4
+    # and on 32 seeded hosts at n = 5 and 6, against a per-host count over
+    # itertools.permutations; v > n and |anchors| > n leave an empty axis
     p2, p4a = digraph(3, [(0, 1), (1, 2)]), digraph(4, [(0, 1), (1, 2), (2, 3)])
     cases = [(p2, (1,)), (p4a, (0, 2)), (digraph(4, [(0, 1), (2, 1), (2, 3)]), (1,))]
     for h, w in ((digraph(1, []), 0), (digraph(2, [(0, 1)]), 1), (p2, 1)):
         d, v_new, _ = glued_pair_digraph(h, w)
         cases += [(h, ()), (d, (v_new,))]
-    for n in (1, 2, 3, 4):
+    rng = np.random.default_rng(1606)
+    for n in (1, 2, 3, 4, 5, 6):
         adj = tournament_stack(n)
+        if n > 4:
+            adj = adj[np.sort(rng.choice(len(adj), 32, replace=False))]
+        hosts = [Tournament(n, tuple(map(tuple, a.tolist()))) for a in adj]
         for d, anchors in cases:
             counts = _labeled_counts(d, adj, anchors)
             images = list(permutations(range(n), len(anchors)))
             assert counts.shape == (len(adj), len(images))
             want = [[_copies_by_anchor_image(d, host, anchors)[image] for image in images]
-                    for host in _hosts(n)]
+                    for host in hosts]
             assert counts.tolist() == want, (d.arcs, anchors, n)
     assert _labeled_counts(p4a, tournament_stack(3), (0, 2)).tolist() == [[0] * 6] * 8
     assert _labeled_counts(p4a, tournament_stack(1), (0, 2)).shape == (1, 0)
+
+
+STAR = digraph(6, [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5)])
+
+
+def test_reports_at_the_cap_are_pinned():
+    # equal to the reports of the per-arc flat gather with its cap lifted to 6
+    assert STRONG_TAS_CAP == 6
+    p4a = digraph(4, [(0, 1), (1, 2), (2, 3)])
+    assert strong_tas_check(p4a, (0, 2), 6) == ExhaustiveReport(True, 1_004_340, None)
+    assert strong_tas_check(STAR, (0, 1, 2), 6) == ExhaustiveReport(True, 3_995_184, None)
+    assert amgm_check(digraph(2, [(0, 1)]), 1, 6) == ExhaustiveReport(True, 202_013, None)
+
+
+@pytest.mark.parametrize("d, anchors, count, bound, embedding, checked", [
+    (digraph(3, [(1, 2)]), (1,), 20, 18, ((1, 5),), 5411),
+    (digraph(3, [(0, 2), (1, 2)]), (0,), 10, 9, ((0, 4),), 5410),
+])
+def test_first_failures_at_the_cap(d, anchors, count, bound, embedding, checked):
+    # both pass at n <= 5, so only the lifted cap finds them
+    rep = strong_tas_check(d, anchors, 6)
+    assert strong_tas_check(d, anchors, 5).passed
+    assert rep == _strong_tas_by_host_loop(d, anchors, 6)
+    assert (rep.passed, rep.checked) == (False, checked)
+    ce = rep.counterexample
+    assert (ce["n"], ce["count"], ce["bound"], ce["embedding"]) == (6, count, bound, embedding)
+
+
+def test_the_star_at_the_cap_stays_small():
+    # one (anchor images, completions, hosts) uint8 array and its counts:
+    # a second array of that size alive next to the counts would pass 64 MB
+    tournament_stack(6)
+    tracemalloc.start()
+    try:
+        assert strong_tas_check(STAR, (0, 1, 2), 6).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
