@@ -75,12 +75,6 @@ def _pattern_meta(pattern) -> tuple[Digraph, str, Orientation | None]:
     raise TypeError("pattern must be an orientation or a digraph")
 
 
-def _independent_recheck(d: Digraph, host, claimed: Fraction) -> None:
-    """Certificates re-verify on the brute-force evaluator before being emitted."""
-    if Fraction(hom_generic(d, host).raw) != claimed:
-        raise InternalAssertionFailed("certificate value failed independent re-verification")
-
-
 def _violates(mode: str, value: Fraction, threshold: Fraction) -> bool:
     return value > threshold if mode == MODE_TAS else value < threshold
 
@@ -96,7 +90,8 @@ def certify(pattern, host: WeightedTournament, mode: str) -> Certificate | None:
     threshold = Fraction(host.n**d.v, 2**d.e)
     if not _violates(mode, value, threshold):
         return None
-    _independent_recheck(d, host, value)
+    if Fraction(hom_generic(d, host).raw) != value:
+        raise InternalAssertionFailed("certificate value failed independent re-verification")
     direction = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
     return Certificate(host, o, direction, threshold, value)
 
@@ -273,8 +268,8 @@ def refute(
     half-loop tournament host at once.  It runs on the integer matrices 2A,
     in int64 under the kernel's overflow guard, so it yields 2^e h exactly,
     to be compared with n^v.  At the first n with a strict violation, the
-    lowest-index violating host is rebuilt and rechecked on hom_generic
-    before it becomes the certificate.  budget counts optimizer restarts,
+    lowest-index violating host is rebuilt and passed to certify, which
+    rechecks it on hom_generic.  budget counts optimizer restarts,
     at most OPTIMIZER_BUDGET_CAP; 0 skips stage 2.
     """
     if mode not in (MODE_TAS, MODE_TS):
@@ -297,12 +292,9 @@ def refute(
         hits = np.flatnonzero(_violates(mode, counts, target))
         if hits.size:
             host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
-            value = Fraction(int(counts[hits[0]]), 2**d.e)
-            _independent_recheck(d, host, value)
-            direction = (
-                CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
-            )
-            cert = Certificate(host, o, direction, Fraction(target, 2**d.e), value)
+            cert = certify(pattern, host, mode)
+            if cert is None or cert.value != Fraction(int(counts[hits[0]]), 2**d.e):
+                raise InternalAssertionFailed("the scan's violation failed exact certification")
             return RefutationReport(text, mode, n, samples, cert)
     n_checked = n_max
     if budget > 0:

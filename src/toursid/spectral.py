@@ -10,14 +10,15 @@ in them); the absolute variables X_2t = |1^T B^(2t) 1| used for display and
 certification satisfy S_4k = X_4k and S_4k+2 = -X_4k+2, and X_0 := n (an
 isolated chain segment contributes one factor n).
 
-The certifier mechanizes the greedy bounding moves valid for |B| <= 1/2:
+The certifier mechanizes the bounding moves valid for |B| <= 1/2:
 
   (iii)  X_2s <= X_2t (n/2)^(2(s-t))        for s > t >= 0
   (iv)   X_2s^2 <= X_2(s-t) X_2(s+t)
 
-rewriting offending monomials down onto opposite-sign partners.  It is
-deliberately incomplete: Unknown means "no certificate found", not a
-disproof.
+bounding offending monomials by opposite-sign partners, with coefficients
+split as needed.  Among certificates that bound each monomial by a chain of
+these moves it is complete: Unknown means that no such certificate exists,
+not that the bound fails.
 """
 
 from __future__ import annotations
@@ -303,65 +304,61 @@ def _reachable_factor(src: tuple[int, ...], dst: tuple[int, ...]) -> Fraction | 
     return None
 
 
-def _eliminate(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) -> bool:
-    """Greedily absorb every bad-signed monomial into opposite partners.
+def _transport(terms: dict[TermKey, Fraction], bad_sign: int, trace: list[str]) -> bool:
+    """Absorb every bad-signed monomial into opposite-signed partners, exactly.
 
-    Nearest (highest-index) reachable partner first, with backtracking over
-    the partner choice, at most 64 moves deep.  A state whose whole subtree
-    failed without meeting that cap fails wherever it comes up again, and
-    a failing branch writes no trace line, so it is not searched twice.
+    Bounding b by g costs the factor 2^-(sum b - sum g) and reachability is
+    transitive, so in units of 2^-sum each bad b supplies |c_b| 2^-sum(b),
+    each good g absorbs up to |c_g| 2^-sum(g), and a certificate exists
+    exactly when a flow over the reachable pairs saturates every supply.
+    Breadth-first augmenting paths decide that, visiting monomials by rank,
+    highest first; a supply left with no path fails Hall's condition.  The
+    trace gets one line per pair that carries flow.
     """
-    # moves only land on monomials already present, so one ranking serves all
-    rank = {k: (max(k[1], default=0), sorted(k[1], reverse=True), k[0]) for k in terms}
-    dead: set[frozenset] = set()
-    capped = False  # did the subtree being searched meet the depth cap?
-
-    def search(terms: dict[TermKey, Fraction], state: frozenset, depth: int) -> bool:
-        # state: the terms as (monomial, numerator, denominator) triples, a
-        # key that hashes ints where Fraction.__hash__ is slow
-        nonlocal capped
-        if depth > 64:
-            capped = True
-            return False
-        bads, goods = [], []
-        for k, c in terms.items():
-            (bads if (c.numerator > 0) == (bad_sign > 0) else goods).append(k)
-        if not bads:
-            return True
-        if state in dead:
-            return False
-        outer, capped = capped, False
-        worst = max(bads, key=rank.__getitem__)
-        coeff = terms[worst]
-        goods.sort(key=rank.__getitem__, reverse=True)
-        z, runs = worst
-        for gz, gruns in goods:
-            frac = _reachable_factor(runs, gruns)
-            if frac is None:
-                continue
-            moved = coeff * frac  # n-power lands exactly on the partner by degree
-            partner = (gz, gruns)
-            old = terms[partner]
-            nxt = dict(terms)
-            del nxt[worst]
-            new = nxt[partner] = old + moved
-            gone = {(worst, coeff.numerator, coeff.denominator),
-                    (partner, old.numerator, old.denominator)}
-            if new == 0:
-                del nxt[partner]
-                child = state - gone
-            else:  # the child's key is its parent's with two triples swapped for one
-                child = (state - gone) | {(partner, new.numerator, new.denominator)}
-            if search(nxt, child, depth + 1):
-                trace.insert(0, f"bound {_mono_text(worst, coeff)} by "
-                                f"{_mono_text(partner, moved)} and cancel")
-                return True
-        if not capped:
-            dead.add(state)
-        capped = capped or outer
-        return False
-
-    return search(terms, frozenset((k, c.numerator, c.denominator) for k, c in terms.items()), 0)
+    order = sorted(terms, key=lambda k: (max(k[1], default=0), sorted(k[1], reverse=True), k[0]),
+                   reverse=True)
+    bads = [k for k in order if (terms[k] > 0) == (bad_sign > 0)]
+    goods = [k for k in order if (terms[k] > 0) != (bad_sign > 0)]
+    unit = {k: abs(c) / 2 ** sum(k[1]) for k, c in terms.items()}  # supply or room
+    reach = {b: [g for g in goods if _reachable_factor(b[1], g[1]) is not None] for b in bads}
+    flow: dict[tuple[TermKey, TermKey], Fraction] = {}
+    for source in bads:
+        while unit[source]:
+            parent, queue, end = {source: None}, [source], None
+            for node in queue:
+                if node in reach:  # bad: forward along every reachable pair
+                    step = reach[node]
+                elif unit[node]:  # good with room left
+                    end = node
+                    break
+                else:  # full good: backward along the pairs that fill it
+                    step = [b for b in bads if (b, node) in flow]
+                for nxt in step:
+                    if nxt not in parent:
+                        parent[nxt] = node
+                        queue.append(nxt)
+            if end is None:
+                return False
+            path, node = [], end
+            while parent[node] is not None:
+                path.append((parent[node], node))
+                node = parent[node]
+            amount = min([unit[source], unit[end]] + [flow[v, u] for u, v in path if v in reach])
+            unit[source] -= amount
+            unit[end] -= amount
+            for u, v in path:
+                if u in reach:
+                    flow[u, v] = flow.get((u, v), 0) + amount
+                elif flow[v, u] == amount:
+                    del flow[v, u]
+                else:
+                    flow[v, u] -= amount
+    for b in bads:
+        for g in goods:
+            if (b, g) in flow:
+                trace.append(f"bound {_mono_text(b, bad_sign * flow[b, g] * 2 ** sum(b[1]))} by "
+                             f"{_mono_text(g, bad_sign * flow[b, g] * 2 ** sum(g[1]))} and cancel")
+    return True
 
 
 def _mono_text(key: TermKey, coeff: Fraction) -> str:
@@ -373,9 +370,10 @@ def _mono_text(key: TermKey, coeff: Fraction) -> str:
 def certify_sign(p: SPolynomial) -> CertificationResult:
     """Try to certify h - n^v/2^e <= 0 (TAS) or >= 0 (TS) mechanically.
 
-    Works in the X variables under the moves valid for |B| <= 1/2; greedy
-    and incomplete by design.  The all-J term of the expansion equals the
-    quasirandom benchmark exactly, so the residual has no pure-n monomial.
+    Works in the X variables under the moves valid for |B| <= 1/2, and finds
+    a certificate whenever those moves give one.  The all-J term of the
+    expansion equals the quasirandom benchmark exactly, so the residual has
+    no pure-n monomial.
     """
     residual = x_form(p)
     if residual.pop((p.v, ()), None) != Fraction(1, 2**p.e):
@@ -385,14 +383,11 @@ def certify_sign(p: SPolynomial) -> CertificationResult:
         return CertificationResult(
             CertVerdict.CERTIFIED_TAS, ("residual is identically zero (equality)",)
         )
-    trace_tas: list[str] = []
-    if _eliminate(dict(residual), bad_sign=+1, trace=trace_tas):
-        trace_tas.append("all positive monomials absorbed; residual <= 0")
-        return CertificationResult(CertVerdict.CERTIFIED_TAS, tuple(trace_tas))
-    trace_ts: list[str] = []
-    if _eliminate(dict(residual), bad_sign=-1, trace=trace_ts):
-        trace_ts.append("all negative monomials absorbed; residual >= 0")
-        return CertificationResult(CertVerdict.CERTIFIED_TS, tuple(trace_ts))
-    return CertificationResult(
-        CertVerdict.UNKNOWN, ("no greedy certificate in either direction",)
-    )
+    for bad_sign, verdict, last in (
+        (+1, CertVerdict.CERTIFIED_TAS, "all positive monomials absorbed; residual <= 0"),
+        (-1, CertVerdict.CERTIFIED_TS, "all negative monomials absorbed; residual >= 0"),
+    ):
+        trace: list[str] = []
+        if _transport(residual, bad_sign, trace):
+            return CertificationResult(verdict, (*trace, last))
+    return CertificationResult(CertVerdict.UNKNOWN, ("no greedy certificate in either direction",))

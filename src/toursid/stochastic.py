@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Orientation, as_orientation
-from .errors import CapExceeded, DiscriminantNegative, InvalidInput
+from .errors import CapExceeded, DiscriminantNegative, InternalAssertionFailed, InvalidInput
 
 RESCALE_EVERY = 64
 FG_EXHAUSTIVE_CAP = 16  # 2^16 exact chains take about 8 s
@@ -112,7 +112,7 @@ def resolve_beta_star(max_edges: int = 12) -> Fraction:
             for n in range(2, e + 1):
                 ratios.add(abs((xs[n] - xs[n - 1]) / xs[n - 2]))
     if len(ratios) != 1:
-        raise AssertionError(f"expected a single ratio constant, got {sorted(ratios)}")
+        raise InternalAssertionFailed(f"expected a single ratio constant, got {sorted(ratios)}")
     return ratios.pop()
 
 

@@ -268,19 +268,22 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
     row p * n + q holds A[p, q] of every host; each arc then gathers whole
     rows, one per map phi at phi(u) * n + phi(w), into an (anchor images,
     completions, hosts) array.  With no injective map the counts are zero
-    and the stack is not read.
+    and the stack is not read.  No count exceeds the completions count,
+    which is checked to fit the uint16 counts.
     """
     n, k = adj.shape[1], len(anchors)
     shape = (perm(n, k), perm(max(n - k, 0), d.v - k))
+    if shape[1] >= 2**16:
+        raise InternalAssertionFailed(f"{shape[1]} completions overflow the uint16 counts")
     if 0 in shape:
-        return np.zeros((len(adj), shape[0]), dtype=np.int64)
+        return np.zeros((len(adj), shape[0]), dtype=np.uint16)
     col = {x: i for i, x in enumerate(list(anchors) + [x for x in range(d.v) if x not in anchors])}
     maps = _injective_maps(n, d.v).reshape(shape + (d.v,))
     rows = np.ascontiguousarray(adj.reshape(len(adj), n * n).T)
     hit = np.ones(shape + (len(adj),), dtype=np.uint8)
     for u, w in d.arcs:
         hit &= rows[maps[..., col[u]] * n + maps[..., col[w]]]
-    return hit.sum(axis=1, dtype=np.int64).T
+    return hit.sum(axis=1, dtype=np.uint16).T
 
 
 @lru_cache(maxsize=64)
@@ -346,9 +349,9 @@ def amgm_check(h: Digraph, w: int, n_max: int) -> ExhaustiveReport:
     checked = 0
     for n in range(1, n_max + 1):
         adj = tournament_stack(n)
-        n_h = _labeled_counts(h, adj, ())
+        n_h = _labeled_counts(h, adj, ()).astype(np.int64)
         counts = _labeled_counts(d, adj, (v_new,))
-        hits = np.flatnonzero(4 * counts > n_h * n_h)
+        hits = np.flatnonzero(counts > n_h * n_h // 4)  # 4c > m^2 iff c > floor(m^2/4)
         if hits.size:
             s, t = divmod(int(hits[0]), n)
             return ExhaustiveReport(False, checked + int(hits[0]) + 1, {

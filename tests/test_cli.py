@@ -592,6 +592,14 @@ GOLDEN_COMMANDS = [
     (["certify-sign", "><>>><"],
      'Unknown\n'
      '  no greedy certificate in either direction\n'),
+    # one coefficient split over two partners
+    (["certify-sign", ">>><<>><>>", "--json"],
+     '{"orientation":">>><<>><>>","trace":["bound (1)*n^0*X10 by (1/4)*n^2*X8 '
+     'and cancel","bound (1/4)*n^1*X2*X6 by (1/16)*n^4*X6 and cancel","bound ('
+     '1/4)*n^1*X2*X6 by (1/64)*n^5*X2*X2 and cancel","bound (1/4)*n^1*X4*X4 by'
+     ' (1/4)*n^2*X8 and cancel","bound (1/64)*n^6*X4 by (1/256)*n^8*X2 and can'
+     'cel","all positive monomials absorbed; residual <= 0"],"verdict":"Certif'
+     'iedTAS"}\n'),
     (["kernels", "MBalanced", "--json"],
      '{"n":3,"name":"MBalanced","rows":[["0/1","1/1","-1/1"],["-1/1","0/1","1/'
      '1"],["1/1","-1/1","0/1"]],"t_2p3":"0/1","t_p3":"0/1","t_p5":"0/1"}\n'),

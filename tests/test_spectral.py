@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from toursid.construct import named_kernel
 from toursid.core import Orientation
 from toursid.errors import CapExceeded, EntryRangeViolated, InternalAssertionFailed
 from toursid.hom import hom_path
+from toursid.search import refute
 from toursid.spectral import (
     CertificationResult,
     CertVerdict,
@@ -437,18 +439,99 @@ def _certify_oracle(p):
     return CertificationResult(CertVerdict.UNKNOWN, ("no greedy certificate in either direction",))
 
 
-def test_certifier_matches_the_unpruned_search():
-    texts = [Orientation(dirs) for e in range(1, 10) for dirs in product((1, -1), repeat=e)]
-    # the e = 10 pair revisits states whose monomials agree and coefficients
-    # differ, so a failed-state record keyed on the monomials alone shows
-    texts += [">><<>><<>><<", "><<<><<>>>><", ">>><>>><<<", ">>>><<<>><", ">><>><<>><"]
-    verdicts = set()
+# found by the transport decision and missed by the backtracking search
+TRANSPORT_ONLY_TAS = (">>><<>><>>", ">><>><<>>>", "<<><<>><<<", "<<<>><<><<")
+
+
+def test_certifier_finds_every_certificate_of_the_unpruned_search():
+    # the transport decision is complete, so it keeps every verdict of the
+    # backtracking search; its plans may split a coefficient, so traces differ
+    texts = [Orientation(dirs) for e in range(1, 11) for dirs in product((1, -1), repeat=e)]
+    texts += [">><<>><<>><<", "><<<><<>>>><"]
+    verdicts, gained = set(), []
     for o in texts:
         p = expand_path(o)
-        got = certify_sign(p)
-        assert got == _certify_oracle(p), o
-        verdicts.add(got.verdict)
+        got, greedy = certify_sign(p).verdict, _certify_oracle(p).verdict
+        if greedy is not CertVerdict.UNKNOWN:
+            assert got is greedy, o
+        elif got is not CertVerdict.UNKNOWN:
+            assert got is CertVerdict.CERTIFIED_TAS, o
+            gained.append(str(o))
+        verdicts.add(got)
     assert verdicts == set(CertVerdict)
+    assert sorted(gained) == sorted(TRANSPORT_ONLY_TAS)
+
+
+@pytest.mark.parametrize("text", TRANSPORT_ONLY_TAS)
+def test_transport_only_verdicts_survive_the_exhaustive_scan(text):
+    assert certify_sign(expand_path(text)).verdict is CertVerdict.CERTIFIED_TAS
+    assert refute(text, "TAS", n_max=6).violation is None
+
+
+@pytest.mark.parametrize("text", ["><<<<<<<", "<<<>><>><>", "<<>><<<>><"])
+def test_uncertifiable_paths_stay_unknown(text):
+    # the last two have optimizer-found violating weighted hosts (TS, TAS)
+    res = certify_sign(expand_path(text))
+    assert res == CertificationResult(
+        CertVerdict.UNKNOWN, ("no greedy certificate in either direction",))
+
+
+_LINE = re.compile(r"bound \((\S+)\)\*n\^(\d+)\*(\S+) by \((\S+)\)\*n\^(\d+)\*(\S+) and cancel")
+
+
+def _moves_closure(runs):
+    """Every X-multiset reachable from runs by moves (iii) and (iv)."""
+    seen, todo = {runs}, [runs]
+    while todo:
+        cur = todo.pop()
+        for i, a in enumerate(cur):
+            rest = cur[:i] + cur[i + 1:]
+            out = [rest + (b,) for b in range(2, a, 2)] + [rest]  # (iii), down to X_0
+            if a in rest:  # (iv) on a pair (a, a)
+                j = rest.index(a)
+                pair_rest = rest[:j] + rest[j + 1:]
+                out += [pair_rest + (a - u, a + u) for u in range(2, a, 2)]
+                out.append(pair_rest + (2 * a,))
+            for m in out:
+                m = tuple(sorted(m))
+                if m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+    return seen
+
+
+def _check_plan(p, res):
+    """Recheck a certificate's trace against the residual, line by line."""
+    residual = {k: c for k, c in x_form(p).items() if c and k != (p.v, ())}
+    bad_sign = 1 if res.verdict is CertVerdict.CERTIFIED_TAS else -1
+    shares, absorbed = {}, {}
+    for line in res.trace[:-1]:
+        m = _LINE.fullmatch(line)
+        assert m, line
+        c, z, xs, d, zg, gs = m.groups()
+        b = (int(z), tuple(int(x[1:]) for x in xs.split("*")))
+        g = (int(zg), tuple(int(x[1:]) for x in gs.split("*")))
+        c, d = F(c), F(d)
+        assert residual[b] * bad_sign > 0 and residual[g] * bad_sign < 0, line
+        assert c * bad_sign > 0 and g[1] in _moves_closure(b[1]), line
+        assert d == c / 2 ** (sum(b[1]) - sum(g[1])), line
+        assert g[0] - b[0] == sum(r + 1 for r in b[1]) - sum(r + 1 for r in g[1]), line
+        shares[b] = shares.get(b, 0) + c
+        absorbed[g] = absorbed.get(g, 0) + d
+    assert shares == {b: c for b, c in residual.items() if c * bad_sign > 0}
+    assert all(abs(d) <= abs(residual[g]) for g, d in absorbed.items())
+
+
+def test_every_certificate_plan_is_valid():
+    checked = 0
+    for e in range(1, 11):
+        for dirs in product((1, -1), repeat=e):
+            p = expand_path(Orientation(dirs))
+            res = certify_sign(p)
+            if res.verdict is not CertVerdict.UNKNOWN and len(res.trace) > 1:
+                _check_plan(p, res)
+                checked += 1
+    assert checked > 500
 
 
 def test_certify_rejects_a_wrong_benchmark_term():

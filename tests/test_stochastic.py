@@ -6,7 +6,7 @@ import pytest
 
 from toursid.core import Orientation
 from toursid import stochastic
-from toursid.errors import CapExceeded, DiscriminantNegative, InvalidInput
+from toursid.errors import CapExceeded, DiscriminantNegative, InternalAssertionFailed, InvalidInput
 from toursid.hom import hom_path
 from toursid.stochastic import (
     FG_EXHAUSTIVE_CAP,
@@ -65,6 +65,14 @@ def test_fg_martingale_exhaustive():
 
 def test_beta_star_is_quarter():
     assert resolve_beta_star(10) == F(1, 4)
+
+
+def test_beta_star_with_two_ratios_is_an_internal_error(monkeypatch):
+    # x_2 - x_1 = x_0 after a forward first edge, 2 x_0 after a backward one
+    monkeypatch.setattr(stochastic, "fg_x_series",
+                        lambda dirs: [F(1), F(1), F(2) if dirs[0] == 1 else F(3)])
+    with pytest.raises(InternalAssertionFailed, match=r"got \[Fraction\(1, 1\), Fraction\(2, 1\)\]"):
+        resolve_beta_star(2)
 
 
 def test_x_series_recurrence_identity():

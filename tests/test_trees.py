@@ -452,3 +452,26 @@ def test_the_star_at_the_cap_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def test_the_star_at_the_cap_counts_in_uint16():
+    # uint16 counts take a quarter of the int64 ones: the star's peak falls
+    # from about 55 MB to about 48 MB
+    tournament_stack(6)
+    assert _labeled_counts(STAR, tournament_stack(5), (0, 1, 2)).dtype == np.uint16
+    tracemalloc.start()
+    try:
+        assert strong_tas_check(STAR, (0, 1, 2), 6).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
+
+
+def test_labeled_counts_refuse_counts_past_uint16(monkeypatch):
+    # a 9-vertex path anchored at one vertex has perm(9, 8) = 362,880
+    # completions at n = 10; the guard trips before any map table is built
+    monkeypatch.setattr(toursid.trees, "_injective_maps", None)
+    with pytest.raises(InternalAssertionFailed, match="uint16"):
+        _labeled_counts(digraph(9, [(i, i + 1) for i in range(8)]),
+                        np.zeros((1, 10, 10), dtype=np.uint8), (0,))
