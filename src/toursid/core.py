@@ -219,14 +219,7 @@ class Tree:
             raise InvalidInput("tree must be connected")
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.v)]
-        for e in self.edges:
-            a, b = sorted(e)
-            adj[a].append(b)
-            adj[b].append(a)
-        for row in adj:
-            row.sort()
-        return adj
+        return _neighbours(self.v, self.edges)
 
     def degree(self, x: int) -> int:
         return sum(1 for e in self.edges if x in e)
@@ -237,6 +230,21 @@ def tree(v: int, edges) -> Tree:
 
 
 # --- graph walks ------------------------------------------------------------
+#
+# The one way to walk an undirected graph: an adjacency is a list of sorted
+# neighbour lists, indexed by vertex.  Trees walk their spines and longest
+# paths here, and the signed counts walk the path copies in a digraph.
+
+
+def _neighbours(v: int, pairs) -> list[list[int]]:
+    """Sorted neighbour lists of the undirected graph on 0..v-1 joining each pair."""
+    adj: list[list[int]] = [[] for _ in range(v)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    for row in adj:
+        row.sort()
+    return adj
 
 
 def _component(adj, start: int, banned: int | None = None) -> set[int]:
@@ -252,16 +260,40 @@ def _component(adj, start: int, banned: int | None = None) -> set[int]:
     return seen
 
 
-def _walk(adj, start: int) -> list[int]:
-    """The vertices met walking from start, an end of a path in adj, to its other end."""
-    seq = [start]
-    prev = None
-    while True:
-        nxts = [y for y in adj[seq[-1]] if y != prev]
-        if not nxts:
-            return seq
-        prev = seq[-1]
-        seq.append(nxts[0])
+def _path_order(adj, vertices) -> list[int] | None:
+    """The subgraph of adj induced on vertices as one path, read from its lower end.
+
+    None when that subgraph is not one path: a vertex has three neighbours
+    in it, or it holds a cycle or more than one component.  No vertices give [].
+    """
+    sub = {x: [y for y in adj[x] if y in vertices] for x in vertices}
+    if not sub:
+        return []
+    ends = [x for x in sub if len(sub[x]) <= 1]
+    if not ends or max(map(len, sub.values())) > 2:
+        return None
+    seq = [min(ends)]
+    for _ in range(len(sub) - 1):
+        nxt = [y for y in sub[seq[-1]] if y not in seq[-2:]]
+        if not nxt:
+            return None
+        seq.append(nxt[0])
+    return seq
+
+
+def _simple_paths(adj, start: int, edges: int | None = None):
+    """Depth first, each simple path from start along adj as a vertex tuple.
+
+    With edges given, only the paths of exactly that many edges, and the
+    search goes no deeper.
+    """
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        if edges is None or len(path) > edges:
+            yield path
+        if edges is None or len(path) <= edges:
+            stack.extend(path + (y,) for y in adj[path[-1]] if y not in path)
 
 
 # --- text formats -----------------------------------------------------------

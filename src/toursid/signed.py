@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Digraph, _component, _walk, as_cycle, as_orientation
+from .core import Digraph, _component, _neighbours, _path_order, _simple_paths, as_cycle, as_orientation
 from .errors import CapExceeded, InternalAssertionFailed, InvalidInput, OddComponent
 
 SIGNED_HOST_EDGE_CAP = 40
@@ -80,26 +80,17 @@ def cycle_counts(c) -> SignedCounts:
 
 def _pattern_paths(q: Digraph) -> list[list[int]]:
     """Each component as a vertex sequence along its path; reject non-paths."""
-    adj: list[list[int]] = [[] for _ in range(q.v)]
-    for u, w in q.arcs:
-        adj[u].append(w)
-        adj[w].append(u)
+    adj = _neighbours(q.v, q.arcs)
     seen: set[int] = set()
     comps = []
     for s in range(q.v):
-        if s in seen:
-            continue
-        comp = _component(adj, s)
-        seen |= comp
-        if any(len(adj[x]) > 2 for x in comp):
-            raise ValueError("pattern components must be paths")
-        ends = [x for x in comp if len(adj[x]) <= 1]
-        if len(comp) == 1:
-            comps.append([s])
-            continue
-        if len(ends) != 2:
-            raise ValueError("pattern components must be paths (cycle found)")
-        comps.append(_walk(adj, min(ends)))
+        if s not in seen:
+            comp = _component(adj, s)
+            seen |= comp
+            seq = _path_order(adj, comp)
+            if seq is None:
+                raise ValueError("pattern components must be paths")
+            comps.append(seq)
     return comps
 
 
@@ -113,26 +104,9 @@ def _host_paths(d: Digraph, edges: int) -> list[tuple[tuple[int, ...], tuple[int
     Returns (vertex sequence, +-1 direction profile); each path appears once,
     canonicalized by start < end.
     """
-    adj: list[list[int]] = [[] for _ in range(d.v)]
-    for u, w in d.arcs:
-        adj[u].append(w)
-        adj[w].append(u)
-    out = []
-
-    def extend(seq):
-        if len(seq) == edges + 1:
-            if seq[0] < seq[-1]:
-                out.append((tuple(seq), _seq_dirs(seq, d.arcs)))
-            return
-        for y in adj[seq[-1]]:
-            if y not in seq:
-                seq.append(y)
-                extend(seq)
-                seq.pop()
-
-    for s in range(d.v):
-        extend([s])
-    return out
+    adj = _neighbours(d.v, d.arcs)
+    return [(seq, _seq_dirs(seq, d.arcs))
+            for s in range(d.v) for seq in _simple_paths(adj, s, edges) if seq[0] < seq[-1]]
 
 
 def signed_count(q: Digraph, d: Digraph) -> int:

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import _read_text
-from .errors import CapExceeded, InvalidInput, MissingHalfLoops, RangeViolated, SizeMismatch
+from .errors import CapExceeded, InvalidInput, MissingHalfLoops, SizeMismatch
 
 ENUMERATION_CAP = 6  # the n = 6 stack is 1.2 MB; n = 7 would be 103 MB
 CUTNORM_CAP = 16
@@ -194,10 +194,6 @@ def enumerate_tournaments(n: int) -> Iterator[Tournament]:
         yield Tournament(n, _freeze(adj.tolist()))
 
 
-def tournament_count(n: int) -> int:
-    return 1 << (n * (n - 1) // 2)
-
-
 def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair oriented by an independent fair coin; deterministic in seed."""
     if n < 1:
@@ -237,15 +233,6 @@ def skew_decompose(w: WeightedTournament) -> SkewMatrix:
     half = Fraction(1, 2) if w.is_exact else 0.5
     ent = [[w.entries[i][j] - half for j in range(w.n)] for i in range(w.n)]
     return SkewMatrix(w.n, _freeze(ent))
-
-
-def half_plus(b: SkewMatrix) -> WeightedTournament:
-    """The weighted tournament J/2 + B; entries of B must lie in [-1/2, 1/2]."""
-    half = Fraction(1, 2) if b.is_exact else 0.5
-    if b.max_abs() > (Fraction(1, 2) if b.is_exact else 0.5 + _FLOAT_TOL):
-        raise RangeViolated("entries of B exceed 1/2")
-    ent = [[half + b.entries[i][j] for j in range(b.n)] for i in range(b.n)]
-    return WeightedTournament(b.n, _freeze(ent), loops_half=True)
 
 
 def blowup(t: Tournament, part_sizes, inner: str = "transitive", seed: int = 0) -> Tournament:

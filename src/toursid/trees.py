@@ -32,7 +32,7 @@ from math import factorial, perm
 
 import numpy as np
 
-from .core import Digraph, Tree, _component, _walk, digraph, tree
+from .core import Digraph, Tree, _component, _path_order, _simple_paths, digraph, disjoint_union, tree
 from .errors import (
     CapExceeded,
     InternalAssertionFailed,
@@ -74,42 +74,19 @@ class IsoPair:
         return dict(self.phi)
 
 
-def _is_path_graph(vertices: set[int], adj) -> bool:
-    if len(vertices) <= 1:
-        return True
-    degs = [sum(1 for y in adj[x] if y in vertices) for x in vertices]
-    return max(degs) <= 2 and sum(degs) == 2 * (len(vertices) - 1)
-
-
 def is_caterpillar(t: Tree) -> tuple[bool, list[int]]:
     """True plus the spine (vertices left after removing all leaves)."""
     if t.v < 2:
         raise ValueError("need at least two vertices")
     adj = t.adjacency()
-    spine_set = {x for x in range(t.v) if t.degree(x) != 1}  # drop the leaves
-    if not _is_path_graph(spine_set, adj):
-        return (False, [])
-    if not spine_set:
-        return (True, [])
-    # order the spine as a path
-    sub = {x: [y for y in adj[x] if y in spine_set] for x in spine_set}
-    seq = _walk(sub, min(x for x in spine_set if len(sub[x]) <= 1))
-    if len(seq) != len(spine_set):
-        return (False, [])
-    return (True, seq)
+    spine = _path_order(adj, {x for x in range(t.v) if len(adj[x]) != 1})
+    return (False, []) if spine is None else (True, spine)
 
 
 def canonical_longest_path(t: Tree) -> list[int]:
     adj = t.adjacency()
-    paths = []
-    for start in range(t.v):
-        stack = [[start]]
-        while stack:
-            path = stack.pop()
-            paths.append(path)
-            stack.extend(path + [y] for y in adj[path[-1]] if y not in path)
-    longest = max(map(len, paths))
-    return min((p for p in paths if len(p) == longest), key=tuple)
+    paths = (p for start in range(t.v) for p in _simple_paths(adj, start))
+    return list(min(paths, key=lambda p: (-len(p), p)))
 
 
 def orient_caterpillar(t: Tree) -> TreeOrientation:
@@ -330,13 +307,9 @@ def glued_pair_digraph(h: Digraph, w: int) -> tuple[Digraph, int, int]:
     """D = H + copy of H + fresh v with arcs w -> v -> w'; returns (D, v, w')."""
     if not (0 <= w < h.v):
         raise ValueError("w must be a vertex of h")
-    arcs = set(h.arcs)
-    arcs.update((u + h.v, x + h.v) for u, x in h.arcs)
-    v_new = 2 * h.v
-    w_prime = w + h.v
-    arcs.add((w, v_new))
-    arcs.add((v_new, w_prime))
-    return digraph(2 * h.v + 1, arcs), v_new, w_prime
+    v_new, w_prime = 2 * h.v, w + h.v
+    arcs = disjoint_union(h, h).arcs | {(w, v_new), (v_new, w_prime)}
+    return digraph(v_new + 1, arcs), v_new, w_prime
 
 
 def amgm_check(h: Digraph, w: int, n_max: int) -> ExhaustiveReport:

@@ -3,6 +3,9 @@ from hypothesis import given, strategies as st
 
 from toursid.core import (
     Orientation,
+    _neighbours,
+    _path_order,
+    _simple_paths,
     alternating_cycle,
     as_cycle,
     digraph,
@@ -167,3 +170,45 @@ def test_digraph_subdivision_matches_cycle_subdivision():
         assert sorted(indeg).count(2) == 3  # sinks
         assert sorted(outdeg).count(2) == 3  # sources
     assert via_orientation.e == 18 and c.subdivided(3).flips == 9
+
+
+def test_neighbours_are_sorted_and_symmetric():
+    assert _neighbours(4, [(2, 0), (1, 2), (3, 2)]) == [[2], [2], [0, 1, 3], [2]]
+    assert _neighbours(2, []) == [[], []]
+
+
+# the path 3 - 0 - 4 - 1 numbered out of order, a star at 0, a 4-cycle, the
+# path 0 - 1 beside the edge 2 - 3, and a triangle with the tail 2 - 3
+PATH = _neighbours(5, [(3, 0), (0, 4), (4, 1)])
+STAR = _neighbours(4, [(0, 1), (0, 2), (0, 3)])
+CYCLE = _neighbours(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+TWO = _neighbours(4, [(0, 1), (2, 3)])
+PAW = _neighbours(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+
+
+@pytest.mark.parametrize("adj,vertices,order", [
+    (PATH, set(), []),
+    (PATH, {4}, [4]),
+    (PATH, {0, 1, 3, 4}, [1, 4, 0, 3]),
+    (PATH, {0, 1, 4}, [0, 4, 1]),
+    (PATH, {1, 3}, None),
+    (STAR, {0, 1, 2, 3}, None),
+    (STAR, {0, 2, 3}, [2, 0, 3]),
+    (CYCLE, {0, 1, 2, 3}, None),
+    (CYCLE, {1, 2, 3}, [1, 2, 3]),
+    (TWO, {0, 1, 2, 3}, None),
+    (TWO, {2, 3}, [2, 3]),
+    (PAW, {0, 1, 2, 3}, None),
+], ids=["empty", "vertex", "path", "subpath", "apart", "star", "star-path",
+        "cycle", "cycle-path", "two", "one", "paw"])
+def test_path_order(adj, vertices, order):
+    assert _path_order(adj, vertices) == order
+
+
+def test_simple_paths_with_and_without_a_length():
+    assert sorted(_simple_paths(STAR, 1)) == [(1,), (1, 0), (1, 0, 2), (1, 0, 3)]
+    assert sorted(_simple_paths(CYCLE, 0, 2)) == [(0, 1, 2), (0, 3, 2)]
+    assert list(_simple_paths(CYCLE, 0, 0)) == [(0,)]
+    assert list(_simple_paths(TWO, 0, 2)) == []
+    # no path repeats a vertex, so the cycle's longest paths have 3 edges
+    assert max(map(len, _simple_paths(CYCLE, 2))) == 4

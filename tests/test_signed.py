@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import math
+import numpy as np
 import pytest
 
 from toursid.core import (
@@ -13,8 +15,10 @@ from toursid.core import (
     parse_orientation,
     path_digraph,
 )
+import toursid.signed
 from toursid.errors import OddComponent
 from toursid.signed import (
+    _seq_dirs,
     SignedCounts,
     cycle_counts,
     path_counts,
@@ -144,9 +148,12 @@ def test_odd_component_rejected():
 
 
 def test_non_path_pattern_rejected():
-    star = digraph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        signed_count(star, path_digraph(">>>>"))
+    # a star, a cycle, a path beside a triangle, and a triangle with a tail
+    for pattern in (digraph(4, [(0, 1), (0, 2), (0, 3)]), cycle_digraph(">><<"),
+                    disjoint_union(P3, cycle_digraph(">>>")),
+                    digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])):
+        with pytest.raises(ValueError, match="pattern components must be paths"):
+            signed_count(pattern, path_digraph(">>>>"))
 
 
 def test_walk_fractions_small():
@@ -193,3 +200,85 @@ def test_p9_window_equals_generic():
             o = Orientation(dirs)
             host = path_digraph(o)
             assert _window_sums(o.dirs, 8) == signed_count(P9, host)
+
+
+# --- the path walks before they moved into core, frozen as an oracle ---------
+
+
+def _frozen_pattern_paths(q):
+    adj = [[] for _ in range(q.v)]
+    for u, w in q.arcs:
+        adj[u].append(w)
+        adj[w].append(u)
+    seen, comps = set(), []
+    for s in range(q.v):
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        ends = [x for x in comp if len(adj[x]) <= 1]
+        if any(len(adj[x]) > 2 for x in comp) or (len(comp) > 1 and len(ends) != 2):
+            raise ValueError("pattern components must be paths")
+        seq, prev = [min(ends)], None
+        while nxts := [y for y in adj[seq[-1]] if y != prev]:
+            prev = seq[-1]
+            seq.append(nxts[0])
+        comps.append(seq)
+    return comps
+
+
+def _frozen_host_paths(d, edges):
+    adj = [[] for _ in range(d.v)]
+    for u, w in d.arcs:
+        adj[u].append(w)
+        adj[w].append(u)
+    out = []
+
+    def extend(seq):
+        if len(seq) == edges + 1:
+            if seq[0] < seq[-1]:
+                out.append((tuple(seq), _seq_dirs(seq, d.arcs)))
+            return
+        for y in adj[seq[-1]]:
+            if y not in seq:
+                seq.append(y)
+                extend(seq)
+                seq.pop()
+
+    for s in range(d.v):
+        extend([s])
+    return out
+
+
+def test_signed_count_matches_the_frozen_walks(monkeypatch):
+    # seeded random path forests of at most 6 arcs, numbered out of order, on
+    # random digraphs with 2..8 vertices: the same path copies and counts
+    shapes = [(0,), (2,), (4,), (6,), (0, 2), (0, 4), (2, 2), (2, 4), (2, 2, 2)]
+    rng = np.random.default_rng(1200)
+    pairs = []
+    for _ in range(1200):
+        q = reduce(disjoint_union, [
+            path_digraph(Orientation(tuple(rng.choice((1, -1), e).tolist()))) if e else digraph(1, [])
+            for e in shapes[rng.integers(len(shapes))]])
+        relabel = rng.permutation(q.v).tolist()
+        q = digraph(q.v, [(relabel[u], relabel[w]) for u, w in q.arcs])
+        v = int(rng.integers(2, 9))
+        arcs = [(i, j) if rng.random() < 0.5 else (j, i)
+                for i in range(v) for j in range(i + 1, v) if rng.random() < 0.6]
+        pairs.append((q, digraph(v, arcs)))
+    got = [(toursid.signed._pattern_paths(q), signed_count(q, d)) for q, d in pairs]
+    assert len({c for _, c in got}) > 5
+    for q, d in pairs[:200]:
+        for e in (2, 4):
+            assert (sorted(toursid.signed._host_paths(d, e))
+                    == sorted(_frozen_host_paths(d, e))), d
+    monkeypatch.setattr(toursid.signed, "_host_paths", _frozen_host_paths)
+    monkeypatch.setattr(toursid.signed, "_pattern_paths", _frozen_pattern_paths)
+    for (q, d), (comps, count) in zip(pairs, got):
+        assert comps == _frozen_pattern_paths(q), q
+        assert count == signed_count(q, d), (q, d)

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 import toursid
-from toursid.construct import named_kernel
+from toursid.construct import named_kernel, w_eps
 from toursid.core import Orientation
 from toursid.errors import CapExceeded, EntryRangeViolated, InternalAssertionFailed
 from toursid.hom import hom_path
@@ -32,7 +32,6 @@ from toursid.spectral import (
 )
 from toursid.tournament import (
     enumerate_tournaments,
-    half_plus,
     random_tournament,
     skew,
     skew_decompose,
@@ -328,7 +327,7 @@ def test_eval_matches_hom_exhaustive():
 def test_eval_on_random_rational_kernels():
     for seed in range(40):
         b = _random_rational_skew(5, seed)
-        host = half_plus(b)
+        host = w_eps(b, 1)
         for text in (">>><", "><><", "><<<<"):
             assert eval_spoly(expand_path(text), b) == hom_path(text, host).raw
 

@@ -32,6 +32,7 @@ from toursid.trees import (
     _match_rooted,
     _verify_isopair,
     amgm_check,
+    canonical_longest_path,
     find_isomorphic_pair,
     glued_pair_digraph,
     is_caterpillar,
@@ -105,8 +106,6 @@ def test_orient_rejects_non_caterpillar():
 
 def test_spine_balance_invariant():
     # at internal spine vertices: in = out for even degree, off by one for odd
-    from toursid.trees import canonical_longest_path
-
     for t in (WORKED, TREE_123, spider(1, 1, 4), tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])):
         ori = orient_caterpillar(t)
         spine = canonical_longest_path(t)
@@ -475,3 +474,67 @@ def test_labeled_counts_refuse_counts_past_uint16(monkeypatch):
     with pytest.raises(InternalAssertionFailed, match="uint16"):
         _labeled_counts(digraph(9, [(i, i + 1) for i in range(8)]),
                         np.zeros((1, 10, 10), dtype=np.uint8), (0,))
+
+
+# --- the tree walks before they moved into core, frozen as an oracle ---------
+
+
+def _frozen_is_caterpillar(t):
+    adj = t.adjacency()
+    spine_set = {x for x in range(t.v) if t.degree(x) != 1}
+    if len(spine_set) > 1:
+        degs = [sum(1 for y in adj[x] if y in spine_set) for x in spine_set]
+        if max(degs) > 2 or sum(degs) != 2 * (len(spine_set) - 1):
+            return (False, [])
+    if not spine_set:
+        return (True, [])
+    sub = {x: [y for y in adj[x] if y in spine_set] for x in spine_set}
+    seq, prev = [min(x for x in spine_set if len(sub[x]) <= 1)], None
+    while nxts := [y for y in sub[seq[-1]] if y != prev]:
+        prev = seq[-1]
+        seq.append(nxts[0])
+    return (True, seq) if len(seq) == len(spine_set) else (False, [])
+
+
+def _frozen_canonical_longest_path(t):
+    adj = t.adjacency()
+    paths = []
+    for start in range(t.v):
+        stack = [[start]]
+        while stack:
+            path = stack.pop()
+            paths.append(path)
+            stack.extend(path + [y] for y in adj[path[-1]] if y not in path)
+    longest = max(map(len, paths))
+    return min((p for p in paths if len(p) == longest), key=tuple)
+
+
+def _prufer_tree(code, v):
+    """The labeled tree on v vertices with the given Prüfer sequence."""
+    degree = [1] * v
+    for x in code:
+        degree[x] += 1
+    edges = []
+    for x in code:
+        leaf = min(y for y in range(v) if degree[y] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(y for y in range(v) if degree[y] == 1))
+    return tree(v, edges)
+
+
+def test_tree_walks_match_the_frozen_walks(monkeypatch):
+    # seeded random labeled trees on 2..12 vertices: the same caterpillar
+    # verdicts and spines, and the same orientations and provenance
+    rng = np.random.default_rng(3300)
+    trees = [_prufer_tree(rng.integers(0, v, v - 2).tolist(), v)
+             for v in range(2, 13) for _ in range(300)]
+    got = [(is_caterpillar(t), canonical_longest_path(t), orient_tree_tas(t)) for t in trees]
+    assert {ori.provenance for _, _, ori in got} == {PROV_CATERPILLAR, PROV_ISO_PAIR, PROV_UNKNOWN}
+    monkeypatch.setattr(toursid.trees, "is_caterpillar", _frozen_is_caterpillar)
+    monkeypatch.setattr(toursid.trees, "canonical_longest_path", _frozen_canonical_longest_path)
+    for t, (cat, spine, ori) in zip(trees, got):
+        assert cat == _frozen_is_caterpillar(t), t
+        assert spine == _frozen_canonical_longest_path(t), t
+        assert ori == orient_tree_tas(t), t
