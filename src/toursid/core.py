@@ -247,17 +247,22 @@ def _neighbours(v: int, pairs) -> list[list[int]]:
     return adj
 
 
+def _hang(adj, root: int, banned: int | None = None) -> tuple[list[int], dict]:
+    """Breadth first from root along adj without entering banned: the vertices
+    in the order reached, and for each the vertex it was reached from (banned
+    for root).  On a tree that hangs the tree from root, children after parents."""
+    order, up = [root], {root: banned}
+    for x in order:
+        for y in adj[x]:
+            if y != banned and y not in up:
+                up[y] = x
+                order.append(y)
+    return order, up
+
+
 def _component(adj, start: int, banned: int | None = None) -> set[int]:
     """The vertices reached from start along adj without entering banned."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y != banned and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+    return set(_hang(adj, start, banned)[0])
 
 
 def _path_order(adj, vertices) -> list[int] | None:

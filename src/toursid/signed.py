@@ -134,7 +134,7 @@ def signed_count(q: Digraph, d: Digraph) -> int:
     for p in set(profiles):
         key = min(p, tuple(-x for x in reversed(p)))  # reversal gives the same copies
         if key not in placements:
-            placements[key] = _host_paths(d, len(key))
+            placements[key] = [(hdirs, frozenset(seq)) for seq, hdirs in _host_paths(d, len(key))]
     keys = [min(p, tuple(-x for x in reversed(p))) for p in profiles]
     mult: dict[tuple, int] = {}
     for k in keys:
@@ -152,11 +152,11 @@ def signed_count(q: Digraph, d: Digraph) -> int:
             return
         pdirs = profiles[idx]
         key = keys[idx]
-        for seq, hdirs in placements[key]:
-            if used & set(seq):
+        for hdirs, vs in placements[key]:
+            if not used.isdisjoint(vs):
                 continue
             dis = sum(1 for a, b in zip(hdirs, pdirs) if a != b)
-            place(idx + 1, used | set(seq), sign * (-1) ** (dis % 2))
+            place(idx + 1, used | vs, sign * (-1) ** (dis % 2))
 
     place(0, frozenset(), 1)
     if total % denom:

@@ -16,6 +16,21 @@ with an i.i.d. fair sign; resolve_beta_star pins beta* = 1/4 exactly from
 the chain itself.  The literature's recurrence x_n = x_(n-1) +- beta x_(n-2)
 is exposed separately with beta a free parameter so the beta = 1/8 chain and
 its reported exponent can be reproduced as stated.
+
+A chain of at least SCAN_MIN_STEPS steps (the ratio chain, and both modes of
+lyapunov_estimate) runs as a segment scan: one chunk of draws at a time is cut
+into SEGMENT-step segments, and each float operation of the scalar loop
+becomes one numpy operation on the column of all segments.  Segment 0 starts
+from the exact state, the others from a guess inside the chain's invariant
+range (r = 1, or f = g = 1/2), and each further pass restarts every segment
+from the end the last pass gave the one before it, until no start changes.
+The result is bit for bit the scalar loop's: numpy's +, /, * 0.5 and select
+are the same correctly rounded IEEE operations as Python's, segment 0 is
+always exact, and a segment restarted from an exact end is exact in turn.
+Both chains forget their start within a segment (bitwise), so a chunk settles
+in two or three passes.  Block products, math.log calls and running sums keep
+the scalar loop's order.  Shorter chains keep the scalar loops, which are
+faster there.
 """
 
 from __future__ import annotations
@@ -24,12 +39,18 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .core import Orientation, as_orientation
 from .errors import CapExceeded, DiscriminantNegative, InternalAssertionFailed, InvalidInput
 
 RESCALE_EVERY = 64
 FG_EXHAUSTIVE_CAP = 16  # 2^16 exact chains take about 8 s
+SEGMENT = 256  # steps per segment of the side-by-side scan, a multiple of RESCALE_EVERY
+SCAN_MIN_STEPS = 1 << 15  # shorter chains run the scalar loops
+SCAN_CHUNK = 1 << 16  # ratio steps drawn and settled at a time, a multiple of SEGMENT
+FG_SCAN_CHUNK = 1 << 18  # the same for the fg chain, which keeps one state in RESCALE_EVERY
 
 
 @dataclass(frozen=True)
@@ -219,6 +240,92 @@ def ratio_support(beta: float) -> tuple[float, float]:
     return r_low, 1.0 + beta / r_low if beta else 1.0
 
 
+def _settle(step, first, length: int):
+    """Run consecutive segments of one chain side by side until each is exact.
+
+    `first` holds one start column per segment along its last axis: column 0
+    is the exact start of segment 0, the others are guesses at the starts of
+    segments 1, 2, ...  step(k, state) takes the columns before step k of
+    every segment to the columns after it.  A pass runs every segment for
+    `length` steps; the next pass restarts segment s from the end this pass
+    gave segment s - 1.  Once a pass changes no start bit, every segment ran
+    from its exact start, so the last pass took each step exactly as the
+    sequential loop would.  A pass makes at least one more start exact, so S
+    segments settle in at most S passes.  Returns the end columns of the last
+    pass and the number of passes.
+    """
+    import numpy as np
+
+    starts, passes = first, 0
+    while True:
+        state = starts
+        for k in range(length):
+            state = step(k, state)
+        passes += 1
+        shifted = np.concatenate((starts[..., :1], state[..., :-1]), axis=-1)
+        if np.array_equal(shifted.view(np.uint64), starts.view(np.uint64)):
+            return state, passes
+        starts = shifted
+
+
+def _columns(values, fill):
+    """values cut into SEGMENT-step segments, the last one padded with fill:
+    row k holds step k of every segment."""
+    import numpy as np
+
+    full, rem = divmod(len(values), SEGMENT)
+    cols = np.full((SEGMENT, full + (rem > 0)), fill, dtype=values.dtype)
+    cols[:, :full] = values[:full * SEGMENT].reshape(full, SEGMENT).T
+    cols[:rem, full:] = values[full * SEGMENT:, None]
+    return cols
+
+
+def _ratio_path(r: float, rng, n: int, beta: float):
+    """r_i = 1 + d_i / r_(i-1) for n fresh draws d_i = +-beta, from r_(-1) = r,
+    by the segment scan.
+
+    The segments start from the guess 1.0, which lies in the invariant range
+    of every |beta| <= 1/4; the padding steps take d = beta.
+    """
+    import numpy as np
+
+    cols = np.where(_columns(rng.integers(0, 2, size=n), 1), beta, -beta)
+    path = np.empty_like(cols)
+    rows = list(zip(cols, path))
+
+    def step(k, r):
+        d, out = rows[k]
+        np.divide(d, r, out=out)
+        return np.add(out, 1.0, out=out)
+
+    first = np.ones(cols.shape[1])
+    first[0] = r
+    _settle(step, first, SEGMENT)
+    return path.T.ravel()[:n]
+
+
+def _ratio_chunk(r: float, rng, n: int, beta: float, runs: int = 1):
+    """The next n steps of the ratio chain from r, by the segment scan.
+
+    Returns the last r, the least and the largest r, and the log of each
+    block product: the path is cut into `runs` equal runs and each run into
+    RESCALE_EVERY-step blocks from its start, the last one short, and each
+    product is taken left to right from 1.0, as the scalar loops do.
+    """
+    import numpy as np
+
+    path = _ratio_path(r, rng, n, beta).reshape(runs, -1)
+    q, rem = divmod(path.shape[1], RESCALE_EVERY)
+    full = path[:, :q * RESCALE_EVERY].reshape(runs, q, RESCALE_EVERY)
+    prods = np.ones((runs, q + (rem > 0)))
+    for j in range(RESCALE_EVERY):
+        prods[:, :q] *= full[:, :, j]
+    for j in range(rem):
+        prods[:, q] *= path[:, q * RESCALE_EVERY + j]
+    logs = list(map(math.log, prods.ravel().tolist()))
+    return float(path[-1, -1]), float(path.min()), float(path.max()), logs
+
+
 def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     """Simulate r_n = 1 +- beta / r_(n-1) from r_0 = 1 and report its range."""
     import numpy as np
@@ -229,10 +336,17 @@ def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     r = 1.0
     min_r, max_r = r, r
     log_sum = 0.0
-    chunk = 1 << 16  # a multiple of RESCALE_EVERY
+    chunk = SCAN_CHUNK  # a multiple of RESCALE_EVERY
+    # past |beta| = 1/4 there is no invariant range to guess in, and r can reach 0
+    scan = steps >= SCAN_MIN_STEPS and abs(beta) <= 0.25
     for done in range(0, steps, chunk):
-        signs = rng.integers(0, 2, size=min(chunk, steps - done))
-        ds = np.where(signs, beta, -beta).tolist()
+        n = min(chunk, steps - done)
+        if scan:
+            r, low, high, logs = _ratio_chunk(r, rng, n, beta)
+            min_r, max_r = min(min_r, low), max(max_r, high)
+            log_sum = reduce(add, logs, log_sum)
+            continue
+        ds = np.where(rng.integers(0, 2, size=n), beta, -beta).tolist()
         for i in range(0, len(ds), RESCALE_EVERY):
             prod = 1.0
             for d in ds[i:i + RESCALE_EVERY]:
@@ -280,6 +394,98 @@ def _batch_ci(batch_means: list[float], total_mean: float) -> tuple[float, float
     return (total_mean - 1.96 * se, total_mean + 1.96 * se)
 
 
+def _recurrence_scan(rng, beta: float, batches: int, batch_len: int) -> list[float]:
+    """The recurrence mode's batch means by the segment scan.
+
+    A chunk holds whole batches where one fits, else a SCAN_CHUNK-step piece
+    of one batch (a multiple of RESCALE_EVERY), so each block product comes
+    whole from one path; the block logs are summed in order, batch by batch.
+    """
+    means, t = [], 1.0
+    if batch_len <= SCAN_CHUNK:
+        per = SCAN_CHUNK // batch_len
+        for b in range(0, batches, per):
+            runs = min(per, batches - b)
+            t, _, _, logs = _ratio_chunk(t, rng, runs * batch_len, beta, runs)
+            nb = len(logs) // runs
+            means.extend(reduce(add, logs[i:i + nb], 0.0) / batch_len
+                         for i in range(0, len(logs), nb))
+        return means
+    for _ in range(batches):
+        acc = 0.0
+        for done in range(0, batch_len, SCAN_CHUNK):
+            t, _, _, logs = _ratio_chunk(t, rng, min(SCAN_CHUNK, batch_len - done), beta)
+            acc = reduce(add, logs, acc)
+        means.append(acc / batch_len)
+    return means
+
+
+def _fg_chunk(f: float, g: float, bal, stops):
+    """The fg chain over one chunk of balance draws by the segment scan.
+
+    The chunk starts at a multiple of RESCALE_EVERY steps, so the rescales
+    fall at the same step of every segment.  The segments start from the
+    guess (1/2, 1/2), a rescaled state, so no rescale sum is zero.  Returns
+    the rescale sums in order, the states (f, g) after the local steps in
+    `stops` and the end state of the last segment.
+    """
+    import numpy as np
+
+    cols = _columns(bal, True)
+    sums = np.empty((SEGMENT // RESCALE_EVERY, cols.shape[1]))
+    keep = {j % SEGMENT for j in stops}
+    rows = {}
+
+    def step(k, fg):
+        # an imbalanced step is the balanced step applied to the swapped pair
+        ab = np.where(cols[k], fg, fg[::-1])
+        fg = ab * 0.5
+        fg[0] += ab[1]
+        if k % RESCALE_EVERY == RESCALE_EVERY - 1:
+            s = sums[k // RESCALE_EVERY] = fg[0] + fg[1]
+            fg /= s
+        if k in keep:
+            rows[k] = fg
+        return fg
+
+    first = np.full((2, cols.shape[1]), 0.5)
+    first[:, 0] = f, g
+    end, _ = _settle(step, first, SEGMENT)
+    at = {j: tuple(rows[j % SEGMENT][:, j // SEGMENT].tolist()) for j in stops}
+    return sums.T.ravel()[:len(bal) // RESCALE_EVERY].tolist(), at, tuple(end[:, -1].tolist())
+
+
+def _fg_scan(rng, batches: int, batch_len: int) -> list[float]:
+    """The fg mode's batch means by the segment scan, one chunk at a time:
+    the rescale logs and the batch ends are taken in the scalar loop's order."""
+    import numpy as np
+
+    total = batches * batch_len
+    means, prev_ln, logscale, f, g = [], 0.0, 0.0, 1.0, 1.0
+    for done in range(0, total, FG_SCAN_CHUNK):
+        n = min(FG_SCAN_CHUNK, total - done)
+        bal = np.empty(n, dtype=bool)
+        for lo in range(0, n, SCAN_CHUNK):  # in pieces, which leave the stream unchanged
+            bal[lo:lo + SCAN_CHUNK] = rng.integers(0, 2, size=min(SCAN_CHUNK, n - lo))
+        if done == 0:
+            bal[0] = True  # the first vertex indicator is deterministic
+        # the batch ends in this chunk, as the local steps they follow
+        stops = range(done // batch_len * batch_len + batch_len - done - 1, n, batch_len)
+        sums, at, (f, g) = _fg_chunk(f, g, bal, stops)
+        m = 0
+        for j in stops:
+            while m < len(sums) and m * RESCALE_EVERY + RESCALE_EVERY - 1 <= j:
+                logscale += math.log(sums[m])
+                m += 1
+            fj, gj = at[j]
+            ln_now = logscale + math.log((fj + gj) / 2.0)
+            means.append((ln_now - prev_ln) / batch_len)
+            prev_ln = ln_now
+        for s in sums[m:]:
+            logscale += math.log(s)
+    return means
+
+
 def lyapunov_estimate(
     mode: str,
     steps: int,
@@ -311,47 +517,53 @@ def lyapunov_estimate(
         if beta == 0.0:
             return LyapunovEstimate(mode, beta, steps, seed, 0.0, 0.0, 0.0,
                                     tuple([0.0] * batches))
-        t = 1.0  # x_n / x_(n-1)
-        for _ in range(batches):
-            ds = np.where(rng.integers(0, 2, size=batch_len), beta, -beta).tolist()
-            acc = 0.0
-            for i in range(0, batch_len, RESCALE_EVERY):
-                prod = 1.0
-                for d in ds[i:i + RESCALE_EVERY]:
-                    t = 1.0 + d / t
-                    prod *= t
-                acc += math.log(prod)
-            batch_means.append(acc / batch_len)
+        if total >= SCAN_MIN_STEPS:
+            batch_means = _recurrence_scan(rng, beta, batches, batch_len)
+        else:
+            t = 1.0  # x_n / x_(n-1)
+            for _ in range(batches):
+                ds = np.where(rng.integers(0, 2, size=batch_len), beta, -beta).tolist()
+                acc = 0.0
+                for i in range(0, batch_len, RESCALE_EVERY):
+                    prod = 1.0
+                    for d in ds[i:i + RESCALE_EVERY]:
+                        t = 1.0 + d / t
+                        prod *= t
+                    acc += math.log(prod)
+                batch_means.append(acc / batch_len)
     elif mode == "fg":
         if beta is not None:
             raise InvalidInput("fg mode takes no beta")
-        f, g = 1.0, 1.0
-        prev_ln = 0.0
-        logscale = 0.0
-        step = 0
-        for b in range(batches):
-            bal_arr = rng.integers(0, 2, size=batch_len).tolist()
-            if b == 0:
-                bal_arr[0] = 1  # the first vertex indicator is deterministic
-            i = 0
-            while i < batch_len:
-                # run up to the next multiple of RESCALE_EVERY steps overall
-                j = min(batch_len, i + RESCALE_EVERY - step % RESCALE_EVERY)
-                for bal in bal_arr[i:j]:
-                    if bal:
-                        f, g = 0.5 * f + g, 0.5 * g
-                    else:
-                        f, g = 0.5 * g + f, 0.5 * f
-                step += j - i
-                i = j
-                if step % RESCALE_EVERY == 0:
-                    s = f + g
-                    logscale += math.log(s)
-                    f /= s
-                    g /= s
-            ln_now = logscale + math.log((f + g) / 2.0)
-            batch_means.append((ln_now - prev_ln) / batch_len)
-            prev_ln = ln_now
+        if total >= SCAN_MIN_STEPS:
+            batch_means = _fg_scan(rng, batches, batch_len)
+        else:
+            f, g = 1.0, 1.0
+            prev_ln = 0.0
+            logscale = 0.0
+            step = 0
+            for b in range(batches):
+                bal_arr = rng.integers(0, 2, size=batch_len).tolist()
+                if b == 0:
+                    bal_arr[0] = 1  # the first vertex indicator is deterministic
+                i = 0
+                while i < batch_len:
+                    # run up to the next multiple of RESCALE_EVERY steps overall
+                    j = min(batch_len, i + RESCALE_EVERY - step % RESCALE_EVERY)
+                    for bal in bal_arr[i:j]:
+                        if bal:
+                            f, g = 0.5 * f + g, 0.5 * g
+                        else:
+                            f, g = 0.5 * g + f, 0.5 * f
+                    step += j - i
+                    i = j
+                    if step % RESCALE_EVERY == 0:
+                        s = f + g
+                        logscale += math.log(s)
+                        f /= s
+                        g /= s
+                ln_now = logscale + math.log((f + g) / 2.0)
+                batch_means.append((ln_now - prev_ln) / batch_len)
+                prev_ln = ln_now
     else:
         raise InvalidInput("mode must be 'recurrence' or 'fg'")
     lam = statistics.fmean(batch_means)

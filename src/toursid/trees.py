@@ -32,7 +32,7 @@ from math import factorial, perm
 
 import numpy as np
 
-from .core import Digraph, Tree, _component, _path_order, _simple_paths, digraph, disjoint_union, tree
+from .core import Digraph, Tree, _component, _hang, _path_order, digraph, disjoint_union, tree
 from .errors import (
     CapExceeded,
     InternalAssertionFailed,
@@ -83,10 +83,39 @@ def is_caterpillar(t: Tree) -> tuple[bool, list[int]]:
     return (False, []) if spine is None else (True, spine)
 
 
+def _depths(adj, root: int) -> list[int]:
+    """The distance of every vertex of a tree from root."""
+    order, up = _hang(adj, root)
+    depth = [0] * len(adj)
+    for x in order[1:]:
+        depth[x] = depth[up[x]] + 1
+    return depth
+
+
 def canonical_longest_path(t: Tree) -> list[int]:
+    """The least vertex sequence among the longest paths, read either way.
+
+    Two breadth-first passes give the ends a, b of a diameter D; in a tree
+    the farthest vertex from any x is a or b, so the path starts at the
+    least x whose larger distance to a and b is D.  Hung from x, the path
+    then takes at each step the least child whose height is the number of
+    edges still needed.
+    """
     adj = t.adjacency()
-    paths = (p for start in range(t.v) for p in _simple_paths(adj, start))
-    return list(min(paths, key=lambda p: (-len(p), p)))
+    d0 = _depths(adj, 0)
+    da = _depths(adj, d0.index(max(d0)))
+    db = _depths(adj, da.index(max(da)))
+    diameter = max(da)
+    start = min(x for x in range(t.v) if max(da[x], db[x]) == diameter)
+    order, up = _hang(adj, start)
+    height = [0] * t.v
+    for x in reversed(order[1:]):
+        height[up[x]] = max(height[up[x]], height[x] + 1)
+    path = [start]
+    for need in range(diameter - 1, -1, -1):
+        x = path[-1]
+        path.append(min(y for y in adj[x] if y != up[x] and height[y] == need))
+    return path
 
 
 def orient_caterpillar(t: Tree) -> TreeOrientation:
@@ -114,27 +143,34 @@ def orient_caterpillar(t: Tree) -> TreeOrientation:
     return TreeOrientation(t, tuple(arcs), PROV_CATERPILLAR)
 
 
+def _rooted_codes(adj, root: int, parent: int | None = None) -> dict[int, str]:
+    """rooted_code of every vertex below root, with the tree hung from root
+    and the branch through parent cut off: one pass, children first."""
+    order, up = _hang(adj, root, parent)
+    codes: dict[int, str] = {}
+    for x in reversed(order):
+        codes[x] = "(" + "".join(sorted(codes[y] for y in adj[x] if y != up[x])) + ")"
+    return codes
+
+
 def rooted_code(adj, root: int, parent: int | None = None) -> str:
     """Canonical rooted-tree encoding: sorted children codes in parentheses."""
-    kids = sorted(
-        rooted_code(adj, y, root) for y in adj[root] if y != parent
-    )
-    return "(" + "".join(kids) + ")"
+    return _rooted_codes(adj, root, parent)[root]
 
 
 def _match_rooted(adj, r1, p1, r2, p2, phi):
     """Extend phi with a canonical isomorphism of two rooted branches."""
-    phi[r1] = r2
-    kids1 = sorted(
-        ((rooted_code(adj, y, r1), y) for y in adj[r1] if y != p1)
-    )
-    kids2 = sorted(
-        ((rooted_code(adj, y, r2), y) for y in adj[r2] if y != p2)
-    )
-    for (c1, y1), (c2, y2) in zip(kids1, kids2):
-        if c1 != c2:
-            raise InternalAssertionFailed("matched branches are not isomorphic")
-        _match_rooted(adj, y1, r1, y2, r2, phi)
+    codes1, codes2 = _rooted_codes(adj, r1, p1), _rooted_codes(adj, r2, p2)
+    stack = [(r1, p1, r2, p2)]
+    while stack:
+        r1, p1, r2, p2 = stack.pop()
+        phi[r1] = r2
+        kids1 = sorted((codes1[y], y) for y in adj[r1] if y != p1)
+        kids2 = sorted((codes2[y], y) for y in adj[r2] if y != p2)
+        for (c1, y1), (c2, y2) in zip(kids1, kids2):
+            if c1 != c2:
+                raise InternalAssertionFailed("matched branches are not isomorphic")
+            stack.append((y1, r1, y2, r2))
 
 
 def find_isomorphic_pair(t: Tree) -> IsoPair | None:
@@ -148,9 +184,10 @@ def find_isomorphic_pair(t: Tree) -> IsoPair | None:
         return None
     adj = t.adjacency()
     for v in range(t.v):
+        below = _rooted_codes(adj, v)
         codes: dict[str, list[int]] = {}
         for w in adj[v]:
-            codes.setdefault(rooted_code(adj, w, v), []).append(w)
+            codes.setdefault(below[w], []).append(w)
         for code in sorted(codes):
             roots = codes[code]
             if len(roots) >= 2:

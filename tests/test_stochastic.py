@@ -269,8 +269,14 @@ def _per_step_ratio_chain(beta, steps, seed):
     return min_r, max_r, log_sum / steps, inside
 
 
+# from 2^15 steps on the chains run as side-by-side segments: at and just past
+# that threshold, batches of 4104 and 33 steps (not multiples of 64), and one
+# batch longer than a chunk of either chain whose last chunk is shorter than
+# a segment
 @pytest.mark.parametrize("steps,batches", [(1, 1), (63, 1), (64, 1), (65, 1), (129, 1),
-                                           (640, 10), (1000, 7), (6400, 100), (70001, 3)])
+                                           (640, 10), (1000, 7), (6400, 100), (70001, 3),
+                                           (32768, 1), (32769, 1), (32832, 8), (33000, 1000),
+                                           (262244, 1)])
 def test_sliced_loops_match_the_per_step_loops_bit_for_bit(steps, batches):
     for seed in (0, 5):
         for beta in (0.125, 0.25, 3 / 64):
@@ -283,3 +289,44 @@ def test_sliced_loops_match_the_per_step_loops_bit_for_bit(steps, batches):
                 beta, steps, seed)
         est = lyapunov_estimate("fg", steps, seed, batches=batches)
         assert list(est.batch_means) == _per_step_lyapunov("fg", steps, seed, batches=batches)
+
+
+def test_settle_reruns_a_chain_that_never_forgets_its_start():
+    # x <- x + d on integer-valued floats carries any error in a start to the
+    # end of its segment, so each pass makes exactly one more start exact
+    import numpy as np
+
+    segments, length = 7, 5
+    ds = np.random.default_rng(19).integers(1, 10, size=(length, segments)).astype(float)
+    seen = np.empty_like(ds)
+
+    def step(k, x):
+        seen[k] = x + ds[k]
+        return seen[k]
+
+    first = np.zeros(segments)
+    first[0] = 3.0
+    end, passes = stochastic._settle(step, first, length)
+    x, want = 3.0, []
+    for d in ds.T.ravel().tolist():
+        x += d
+        want.append(x)
+    assert seen.T.ravel().tolist() == want
+    assert end[-1] == want[-1]
+    assert passes == segments
+
+
+@pytest.mark.parametrize("mode,beta", [("recurrence", 0.25), ("fg", None)])
+def test_long_chains_hold_one_chunk_at_a_time(mode, beta):
+    # one batch of 2e6 steps: only one chunk of draws and states is alive at a
+    # time, so the peak does not grow with the batch (its 2e6 draws alone as
+    # int64 would take 16 MB)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        lyapunov_estimate(mode, 2_000_000, 5, beta=beta, batches=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

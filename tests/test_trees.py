@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from toursid.core import digraph, tree
+from toursid.cli import main
+from toursid.core import _component, digraph, format_tree_text, tree
 from toursid.errors import (
     CapExceeded,
     InternalAssertionFailed,
@@ -38,6 +40,7 @@ from toursid.trees import (
     is_caterpillar,
     orient_caterpillar,
     orient_tree_tas,
+    rooted_code,
     strong_tas_check,
 )
 
@@ -538,3 +541,70 @@ def test_tree_walks_match_the_frozen_walks(monkeypatch):
         assert cat == _frozen_is_caterpillar(t), t
         assert spine == _frozen_canonical_longest_path(t), t
         assert ori == orient_tree_tas(t), t
+
+
+def _frozen_rooted_code(adj, root, parent=None):
+    kids = sorted(_frozen_rooted_code(adj, y, root) for y in adj[root] if y != parent)
+    return "(" + "".join(kids) + ")"
+
+
+def _frozen_match_rooted(adj, r1, p1, r2, p2, phi):
+    phi[r1] = r2
+    kids1 = sorted((_frozen_rooted_code(adj, y, r1), y) for y in adj[r1] if y != p1)
+    kids2 = sorted((_frozen_rooted_code(adj, y, r2), y) for y in adj[r2] if y != p2)
+    for (c1, y1), (c2, y2) in zip(kids1, kids2):
+        assert c1 == c2
+        _frozen_match_rooted(adj, y1, r1, y2, r2, phi)
+
+
+def _frozen_find_isomorphic_pair(t):
+    if t.v < 3:
+        return None
+    adj = t.adjacency()
+    for v in range(t.v):
+        codes = {}
+        for w in adj[v]:
+            codes.setdefault(_frozen_rooted_code(adj, w, v), []).append(w)
+        for code in sorted(codes):
+            if len(codes[code]) >= 2:
+                w1, w2 = sorted(codes[code])[:2]
+                phi = {}
+                _frozen_match_rooted(adj, w1, v, w2, v, phi)
+                return IsoPair(frozenset(_component(adj, w1, banned=v)),
+                               frozenset(_component(adj, w2, banned=v)), v, w1,
+                               tuple(sorted(phi.items())))
+    return None
+
+
+def test_rooted_codes_and_longest_paths_match_the_frozen_recursion():
+    # seeded random labeled trees on 1..12 vertices: the same code below every
+    # vertex from each side, the same longest path and the same isomorphic pair
+    rng = np.random.default_rng(1901)
+    trees = [tree(1, [])] + [_prufer_tree(rng.integers(0, v, v - 2).tolist(), v)
+                             for v in range(2, 13) for _ in range(50)]
+    pairs = 0
+    for t in trees:
+        adj = t.adjacency()
+        for x in range(t.v):
+            assert rooted_code(adj, x) == _frozen_rooted_code(adj, x), t
+            for p in adj[x]:
+                assert rooted_code(adj, x, p) == _frozen_rooted_code(adj, x, p), t
+        assert canonical_longest_path(t) == _frozen_canonical_longest_path(t), t
+        pair = find_isomorphic_pair(t)
+        assert pair == _frozen_find_isomorphic_pair(t), t
+        pairs += pair is not None
+    assert pairs > 100
+
+
+@pytest.mark.parametrize("argv", [["iso-pair"], ["orient-tree", "--json"]])
+def test_a_spider_deeper_than_the_recursion_limit(argv, tmp_path, capsys):
+    # three legs of 1,200 vertices: the tree walks keep explicit stacks
+    f = tmp_path / "spider.txt"
+    f.write_text(format_tree_text(spider(1200, 1200, 1200)))
+    assert main([argv[0], "--file", str(f), *argv[1:]]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if argv[0] == "iso-pair":
+        assert payload["found"] and payload["v"] == 0 and len(payload["h1"]) == 1200
+    else:
+        assert payload["provenance"] == PROV_ISO_PAIR
+        assert {frozenset(a) for a in payload["arcs"]} == set(spider(1200, 1200, 1200).edges)
