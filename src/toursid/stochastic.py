@@ -17,10 +17,10 @@ the chain itself.  The literature's recurrence x_n = x_(n-1) +- beta x_(n-2)
 is exposed separately with beta a free parameter so the beta = 1/8 chain and
 its reported exponent can be reproduced as stated.
 
-A chain of at least SCAN_MIN_STEPS steps (the ratio chain, and both modes of
-lyapunov_estimate) runs as a segment scan: one chunk of draws at a time is cut
-into SEGMENT-step segments, and each float operation of the scalar loop
-becomes one numpy operation on the column of all segments.  Segment 0 starts
+A lyapunov_estimate chain of at least SCAN_MIN_STEPS steps, in either mode,
+runs as a segment scan: one chunk of draws at a time is cut into
+SEGMENT-step segments, and each float operation of the scalar loop becomes
+one numpy operation on the column of all segments.  Segment 0 starts
 from the exact state, the others from a guess inside the chain's invariant
 range (r = 1, or f = g = 1/2), and each further pass restarts every segment
 from the end the last pass gave the one before it, until no start changes.
@@ -30,7 +30,7 @@ always exact, and a segment restarted from an exact end is exact in turn.
 Both chains forget their start within a segment (bitwise), so a chunk settles
 in two or three passes.  Block products, math.log calls and running sums keep
 the scalar loop's order.  Shorter chains keep the scalar loops, which are
-faster there.
+faster there; ratio_chain always runs its scalar loop.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ RESCALE_EVERY = 64
 FG_EXHAUSTIVE_CAP = 16  # 2^16 exact chains take about 8 s
 SEGMENT = 256  # steps per segment of the side-by-side scan, a multiple of RESCALE_EVERY
 SCAN_MIN_STEPS = 1 << 15  # shorter chains run the scalar loops
-SCAN_CHUNK = 1 << 16  # ratio steps drawn and settled at a time, a multiple of SEGMENT
+SCAN_CHUNK = 1 << 16  # recurrence steps drawn and settled at a time, a multiple of SEGMENT
 FG_SCAN_CHUNK = 1 << 18  # the same for the fg chain, which keeps one state in RESCALE_EVERY
 
 
@@ -285,7 +285,7 @@ def _ratio_path(r: float, rng, n: int, beta: float):
     by the segment scan.
 
     The segments start from the guess 1.0, which lies in the invariant range
-    of every |beta| <= 1/4; the padding steps take d = beta.
+    of every 0 < beta <= 1/4; the padding steps take d = beta.
     """
     import numpy as np
 
@@ -305,12 +305,13 @@ def _ratio_path(r: float, rng, n: int, beta: float):
 
 
 def _ratio_chunk(r: float, rng, n: int, beta: float, runs: int = 1):
-    """The next n steps of the ratio chain from r, by the segment scan.
+    """The next n steps of the recurrence's ratio t_i = x_i / x_(i-1) from
+    t = r, by the segment scan.
 
-    Returns the last r, the least and the largest r, and the log of each
-    block product: the path is cut into `runs` equal runs and each run into
-    RESCALE_EVERY-step blocks from its start, the last one short, and each
-    product is taken left to right from 1.0, as the scalar loops do.
+    Returns the last t and the log of each block product: the path is cut
+    into `runs` equal runs and each run into RESCALE_EVERY-step blocks from
+    its start, the last one short, and each product is taken left to right
+    from 1.0, as the scalar loop does.
     """
     import numpy as np
 
@@ -323,7 +324,7 @@ def _ratio_chunk(r: float, rng, n: int, beta: float, runs: int = 1):
     for j in range(rem):
         prods[:, q] *= path[:, q * RESCALE_EVERY + j]
     logs = list(map(math.log, prods.ravel().tolist()))
-    return float(path[-1, -1]), float(path.min()), float(path.max()), logs
+    return float(path[-1, -1]), logs
 
 
 def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
@@ -336,17 +337,10 @@ def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     r = 1.0
     min_r, max_r = r, r
     log_sum = 0.0
-    chunk = SCAN_CHUNK  # a multiple of RESCALE_EVERY
-    # past |beta| = 1/4 there is no invariant range to guess in, and r can reach 0
-    scan = steps >= SCAN_MIN_STEPS and abs(beta) <= 0.25
+    chunk = 1 << 16  # a multiple of RESCALE_EVERY
     for done in range(0, steps, chunk):
-        n = min(chunk, steps - done)
-        if scan:
-            r, low, high, logs = _ratio_chunk(r, rng, n, beta)
-            min_r, max_r = min(min_r, low), max(max_r, high)
-            log_sum = reduce(add, logs, log_sum)
-            continue
-        ds = np.where(rng.integers(0, 2, size=n), beta, -beta).tolist()
+        signs = rng.integers(0, 2, size=min(chunk, steps - done))
+        ds = np.where(signs, beta, -beta).tolist()
         for i in range(0, len(ds), RESCALE_EVERY):
             prod = 1.0
             for d in ds[i:i + RESCALE_EVERY]:
@@ -406,7 +400,7 @@ def _recurrence_scan(rng, beta: float, batches: int, batch_len: int) -> list[flo
         per = SCAN_CHUNK // batch_len
         for b in range(0, batches, per):
             runs = min(per, batches - b)
-            t, _, _, logs = _ratio_chunk(t, rng, runs * batch_len, beta, runs)
+            t, logs = _ratio_chunk(t, rng, runs * batch_len, beta, runs)
             nb = len(logs) // runs
             means.extend(reduce(add, logs[i:i + nb], 0.0) / batch_len
                          for i in range(0, len(logs), nb))
@@ -414,7 +408,7 @@ def _recurrence_scan(rng, beta: float, batches: int, batch_len: int) -> list[flo
     for _ in range(batches):
         acc = 0.0
         for done in range(0, batch_len, SCAN_CHUNK):
-            t, _, _, logs = _ratio_chunk(t, rng, min(SCAN_CHUNK, batch_len - done), beta)
+            t, logs = _ratio_chunk(t, rng, min(SCAN_CHUNK, batch_len - done), beta)
             acc = reduce(add, logs, acc)
         means.append(acc / batch_len)
     return means

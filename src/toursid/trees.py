@@ -143,30 +143,46 @@ def orient_caterpillar(t: Tree) -> TreeOrientation:
     return TreeOrientation(t, tuple(arcs), PROV_CATERPILLAR)
 
 
-def _rooted_codes(adj, root: int, parent: int | None = None) -> dict[int, str]:
-    """rooted_code of every vertex below root, with the tree hung from root
-    and the branch through parent cut off: one pass, children first."""
+def _branch_codes(adj, root: int, parent: int | None = None) -> dict[int, str]:
+    """rooted_code of each child of root, with the tree hung from root and the
+    branch through parent cut off: one pass, children first.  A code is
+    dropped once its parent's is built, so the codes alive at any time belong
+    to disjoint branches and take O(v) characters together."""
     order, up = _hang(adj, root, parent)
     codes: dict[int, str] = {}
-    for x in reversed(order):
-        codes[x] = "(" + "".join(sorted(codes[y] for y in adj[x] if y != up[x])) + ")"
+    for x in reversed(order[1:]):
+        codes[x] = "(" + "".join(sorted(codes.pop(y) for y in adj[x] if y != up[x])) + ")"
     return codes
 
 
 def rooted_code(adj, root: int, parent: int | None = None) -> str:
     """Canonical rooted-tree encoding: sorted children codes in parentheses."""
-    return _rooted_codes(adj, root, parent)[root]
+    return "(" + "".join(sorted(_branch_codes(adj, root, parent).values())) + ")"
+
+
+def _shape_ids(adj, root: int, parent: int | None, shapes: dict) -> dict[int, int]:
+    """An integer for every vertex below root (hung as in _branch_codes), equal
+    for two vertices exactly when their rooted codes are: the index in shapes
+    of its children's sorted integers."""
+    order, up = _hang(adj, root, parent)
+    ids: dict[int, int] = {}
+    for x in reversed(order):
+        key = tuple(sorted(ids[y] for y in adj[x] if y != up[x]))
+        ids[x] = shapes.setdefault(key, len(shapes))
+    return ids
 
 
 def _match_rooted(adj, r1, p1, r2, p2, phi):
-    """Extend phi with a canonical isomorphism of two rooted branches."""
-    codes1, codes2 = _rooted_codes(adj, r1, p1), _rooted_codes(adj, r2, p2)
+    """Extend phi with a canonical isomorphism of two rooted branches: like
+    children are paired in label order."""
+    shapes: dict[tuple[int, ...], int] = {}
+    ids1, ids2 = _shape_ids(adj, r1, p1, shapes), _shape_ids(adj, r2, p2, shapes)
     stack = [(r1, p1, r2, p2)]
     while stack:
         r1, p1, r2, p2 = stack.pop()
         phi[r1] = r2
-        kids1 = sorted((codes1[y], y) for y in adj[r1] if y != p1)
-        kids2 = sorted((codes2[y], y) for y in adj[r2] if y != p2)
+        kids1 = sorted((ids1[y], y) for y in adj[r1] if y != p1)
+        kids2 = sorted((ids2[y], y) for y in adj[r2] if y != p2)
         for (c1, y1), (c2, y2) in zip(kids1, kids2):
             if c1 != c2:
                 raise InternalAssertionFailed("matched branches are not isomorphic")
@@ -184,7 +200,7 @@ def find_isomorphic_pair(t: Tree) -> IsoPair | None:
         return None
     adj = t.adjacency()
     for v in range(t.v):
-        below = _rooted_codes(adj, v)
+        below = _branch_codes(adj, v)
         codes: dict[str, list[int]] = {}
         for w in adj[v]:
             codes.setdefault(below[w], []).append(w)

@@ -269,10 +269,11 @@ def _per_step_ratio_chain(beta, steps, seed):
     return min_r, max_r, log_sum / steps, inside
 
 
-# from 2^15 steps on the chains run as side-by-side segments: at and just past
-# that threshold, batches of 4104 and 33 steps (not multiples of 64), and one
-# batch longer than a chunk of either chain whose last chunk is shorter than
-# a segment
+# from 2^15 steps on the lyapunov chains run as side-by-side segments (the
+# ratio chain keeps its scalar loop at every size): at and just past that
+# threshold, batches of 4104 and 33 steps (not multiples of 64), and one batch
+# longer than a chunk of either chain whose last chunk is shorter than a
+# segment
 @pytest.mark.parametrize("steps,batches", [(1, 1), (63, 1), (64, 1), (65, 1), (129, 1),
                                            (640, 10), (1000, 7), (6400, 100), (70001, 3),
                                            (32768, 1), (32769, 1), (32832, 8), (33000, 1000),

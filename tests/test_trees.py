@@ -608,3 +608,21 @@ def test_a_spider_deeper_than_the_recursion_limit(argv, tmp_path, capsys):
     else:
         assert payload["provenance"] == PROV_ISO_PAIR
         assert {frozenset(a) for a in payload["arcs"]} == set(spider(1200, 1200, 1200).edges)
+
+
+def test_rooted_codes_of_long_legs_stay_linear_in_memory():
+    # a code is dropped once its parent's is built and the matching reads
+    # integer shapes, so the peak stays O(v): keeping the code of every vertex
+    # of a 4,000-vertex path would take about 16 MB, and of the spider's
+    # rooting at its centre about 8 MB
+    path = spider(4000)
+    tracemalloc.start()
+    try:
+        code = rooted_code(path.adjacency(), 0)
+        pair = find_isomorphic_pair(spider(1200, 1200, 1200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == "(" * 4001 + ")" * 4001
+    assert (pair.v, pair.w, len(pair.phi)) == (0, 1, 1200)
+    assert peak < 2 * 2**20, peak
