@@ -149,7 +149,7 @@ def _direction_for(value: Fraction, threshold: Fraction) -> CertDirection | None
 
 
 def _certificate_from_host(entries, pattern: str) -> Certificate:
-    host = WeightedTournament(3, _freeze(entries), loops_half=True)
+    host = WeightedTournament(3, _freeze(entries))
     o = as_orientation(pattern)
     value = hom_path(o, host).raw
     threshold = Fraction(3**o.v, 2**o.e)
@@ -185,7 +185,7 @@ def w_eps(b: SkewMatrix, eps) -> WeightedTournament:
         raise RangeViolated(f"eps * max|B| = {eps * m} exceeds 1/2")
     rows = [[half + eps * (b.entries[i][j] if exact else float(b.entries[i][j]))
              for j in range(b.n)] for i in range(b.n)]
-    return WeightedTournament(b.n, _freeze(rows), loops_half=True)
+    return WeightedTournament(b.n, _freeze(rows))
 
 
 @dataclass(frozen=True)

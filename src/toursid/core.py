@@ -221,9 +221,6 @@ class Tree:
     def adjacency(self) -> list[list[int]]:
         return _neighbours(self.v, self.edges)
 
-    def degree(self, x: int) -> int:
-        return sum(1 for e in self.edges if x in e)
-
 
 def tree(v: int, edges) -> Tree:
     return Tree(v, frozenset(frozenset(e) for e in edges))
@@ -286,18 +283,15 @@ def _path_order(adj, vertices) -> list[int] | None:
     return seq
 
 
-def _simple_paths(adj, start: int, edges: int | None = None):
-    """Depth first, each simple path from start along adj as a vertex tuple.
-
-    With edges given, only the paths of exactly that many edges, and the
-    search goes no deeper.
-    """
+def _simple_paths(adj, start: int, edges: int):
+    """Depth first, each simple path of exactly `edges` edges from start along
+    adj as a vertex tuple; the search goes no deeper."""
     stack = [(start,)]
     while stack:
         path = stack.pop()
-        if edges is None or len(path) > edges:
+        if len(path) > edges:
             yield path
-        if edges is None or len(path) <= edges:
+        else:
             stack.extend(path + (y,) for y in adj[path[-1]] if y not in path)
 
 

@@ -111,7 +111,7 @@ def rationalize_host(host: WeightedTournament, max_den: int = RATIONALIZE_MAX_DE
             x = min(max(x, Fraction(0)), Fraction(1))
             ent[i][j] = x
             ent[j][i] = 1 - x
-    return WeightedTournament(n, _freeze(ent), loops_half=True)
+    return WeightedTournament(n, _freeze(ent))
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def optimize_density(
         if not moving.size:
             break
     best = int(np.argmax(sign * val))
-    host = WeightedTournament(n, _freeze(_hosts(b[best]).tolist()), loops_half=True)
+    host = WeightedTournament(n, _freeze(_hosts(b[best]).tolist()))
     trajectories = tuple(tuple(col[~np.isnan(col)].tolist()) for col in accepted.T)
     return OptimizeResult(host, float(val[best]), objective, len(b), iterations, trajectories)
 

@@ -36,6 +36,8 @@ from .hom import s_moment, s_moments_up_to
 from .tournament import SkewMatrix
 
 EXPAND_EDGE_CAP = 24
+RESIDUAL_TOL = 1e-9  # eigenvalues: largest reconstruction residual, relative to max |B^2|
+X_LEMMA_REL_TOL = 1e-9  # check_x_lemma on floats: slack relative to the largest moment
 
 # term key: (power of n, sorted tuple of even S indices)
 TermKey = tuple[int, tuple[int, ...]]
@@ -52,12 +54,12 @@ class Spectrum:
         return self.lambdas[0] if self.lambdas else 0.0
 
 
-def eigenvalues(b: SkewMatrix, residual_tol: float = 1e-9) -> Spectrum:
+def eigenvalues(b: SkewMatrix) -> Spectrum:
     """Eigenvalue moduli of a skew matrix via a symmetric solve of B^2.
 
     B^2 is real symmetric with eigenvalues -lambda_i^2, so all arithmetic
     stays real.  The reconstruction residual of the symmetric solve is
-    checked against residual_tol.
+    checked against RESIDUAL_TOL.
     """
     m = np.array([[float(x) for x in row] for row in b.entries], dtype=float)
     b2 = m @ m
@@ -67,7 +69,7 @@ def eigenvalues(b: SkewMatrix, residual_tol: float = 1e-9) -> Spectrum:
         raise ConvergenceFailure(str(exc)) from exc
     scale = max(1.0, float(np.max(np.abs(b2))))
     resid = np.max(np.abs(b2 @ vecs - vecs * w))
-    if resid > residual_tol * scale:
+    if resid > RESIDUAL_TOL * scale:
         raise ConvergenceFailure(f"eigensolve residual {resid:.3e}")
     lam = np.sqrt(np.clip(-w, 0.0, None))  # ascending w -> descending lambda
     return Spectrum(tuple(float(x) for x in lam[::2]))
@@ -103,7 +105,7 @@ class XLemmaReport:
         )
 
 
-def check_x_lemma(b: SkewMatrix, s: int, t: int, rel_tol: float = 1e-9) -> XLemmaReport:
+def check_x_lemma(b: SkewMatrix, s: int, t: int) -> XLemmaReport:
     """Evaluate the four moment clauses for a skew B with entries in [-1/2, 1/2].
 
     (i) odd moments vanish; (ii) 1^T B^(4k) 1 >= 0 and 1^T B^(4k+2) 1 <= 0;
@@ -118,7 +120,7 @@ def check_x_lemma(b: SkewMatrix, s: int, t: int, rel_tol: float = 1e-9) -> XLemm
     top = 2 * (s + t)
     moments = s_moments_up_to(b, max(top, 2 * s, 2))
     scale = max([1.0] + [abs(float(v)) for k, v in moments.items() if k > 0])
-    tol = 0 if b.is_exact else rel_tol * scale
+    tol = 0 if b.is_exact else X_LEMMA_REL_TOL * scale
 
     worst_odd = max((abs(moments[k]) for k in range(1, top + 1, 2)), default=0)
     odd_ok = ClauseReport(worst_odd <= tol, -worst_odd)

@@ -17,20 +17,20 @@ the chain itself.  The literature's recurrence x_n = x_(n-1) +- beta x_(n-2)
 is exposed separately with beta a free parameter so the beta = 1/8 chain and
 its reported exponent can be reproduced as stated.
 
-A lyapunov_estimate chain of at least SCAN_MIN_STEPS steps, in either mode,
-runs as a segment scan: one chunk of draws at a time is cut into
-SEGMENT-step segments, and each float operation of the scalar loop becomes
-one numpy operation on the column of all segments.  Segment 0 starts
-from the exact state, the others from a guess inside the chain's invariant
-range (r = 1, or f = g = 1/2), and each further pass restarts every segment
-from the end the last pass gave the one before it, until no start changes.
-The result is bit for bit the scalar loop's: numpy's +, /, * 0.5 and select
-are the same correctly rounded IEEE operations as Python's, segment 0 is
-always exact, and a segment restarted from an exact end is exact in turn.
-Both chains forget their start within a segment (bitwise), so a chunk settles
-in two or three passes.  Block products, math.log calls and running sums keep
-the scalar loop's order.  Shorter chains keep the scalar loops, which are
-faster there; ratio_chain always runs its scalar loop.
+lyapunov_estimate runs every recurrence chain, and every fg chain of at
+least SCAN_MIN_STEPS steps, as a segment scan: one chunk of draws at a time
+is cut into SEGMENT-step segments, and each float operation of the scalar
+loop becomes one numpy operation on the column of all segments.  Segment 0
+starts from the exact state, the others from a guess inside the chain's
+invariant range (r = 1, or f = g = 1/2), and each further pass restarts every
+segment from the end the last pass gave the one before it, until no start
+changes.  The result is bit for bit the scalar loop's: numpy's +, /, * 0.5
+and select are the same correctly rounded IEEE operations as Python's,
+segment 0 is always exact, and a segment restarted from an exact end is exact
+in turn.  Both chains forget their start within a segment (bitwise), so a
+chunk settles in two or three passes.  Block products, math.log calls and
+running sums keep the scalar loop's order.  Shorter fg chains keep the scalar
+loop, which is faster there; ratio_chain always runs its scalar loop.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import CapExceeded, DiscriminantNegative, InternalAssertionFailed, 
 RESCALE_EVERY = 64
 FG_EXHAUSTIVE_CAP = 16  # 2^16 exact chains take about 8 s
 SEGMENT = 256  # steps per segment of the side-by-side scan, a multiple of RESCALE_EVERY
-SCAN_MIN_STEPS = 1 << 15  # shorter chains run the scalar loops
+SCAN_MIN_STEPS = 1 << 15  # shorter fg chains run the scalar loop
 SCAN_CHUNK = 1 << 16  # recurrence steps drawn and settled at a time, a multiple of SEGMENT
 FG_SCAN_CHUNK = 1 << 18  # the same for the fg chain, which keeps one state in RESCALE_EVERY
 
@@ -146,18 +146,23 @@ class FGSample:
     std_total: float | None  # sample std of f+g (None when it would overflow)
     mean_log_ratio: float  # mean of ln(x_n)/n
     median_log_ratio: float
-    frac_at_least: float  # fraction of trials with x_n >= threshold
-    threshold: float
+    frac_at_least: float  # fraction of trials with x_n >= 1
     seed: int | None
 
 
-def sample_fg(
-    n: int,
-    trials: int,
-    seed: int | None = None,
-    exhaustive: bool = False,
-    threshold: float = 1.0,
-) -> FGSample:
+def _fg_step(bal, fg):
+    """One step of the fg chain on the columns (f, g) of a 2-row array, with
+    one balance bit per column (or one for all); an imbalanced step is the
+    balanced step applied to the swapped pair."""
+    import numpy as np
+
+    ab = np.where(bal, fg, fg[::-1])
+    fg = ab * 0.5
+    fg[0] += ab[1]
+    return fg
+
+
+def sample_fg(n: int, trials: int, seed: int | None = None, exhaustive: bool = False) -> FGSample:
     """Monte Carlo (or exhaustive, exact) summary of the chain at step n.
 
     Exhaustive mode runs all 2^n orientations in exact arithmetic and reports
@@ -178,44 +183,36 @@ def sample_fg(
             totals.append(st.total)
             logs.append(math.log(float(st.total) / 2.0) / n)
         mean_total = sum(totals) / len(totals)
-        frac = sum(1 for t in totals if float(t) / 2.0 >= threshold) / len(totals)
+        frac = sum(1 for t in totals if float(t) / 2.0 >= 1.0) / len(totals)
         std = statistics.pstdev(float(t) for t in totals)
         return FGSample(n, len(totals), True, mean_total, std,
-                        statistics.fmean(logs), statistics.median(logs),
-                        frac, threshold, None)
+                        statistics.fmean(logs), statistics.median(logs), frac, None)
     if seed is None:
         raise InvalidInput("seed is required for Monte Carlo sampling")
     import numpy as np
 
     rng = _generator(seed)
-    f = np.ones(trials)
-    g = np.ones(trials)
+    fg = np.ones((2, trials))
     logscale = np.zeros(trials)
     for i in range(n):
-        if i == 0:
-            bal = np.ones(trials, dtype=bool)  # I_0 = 1
-        else:
-            bal = rng.integers(0, 2, size=trials).astype(bool)
-        fn = np.where(bal, 0.5 * f + g, 0.5 * g + f)
-        gn = np.where(bal, 0.5 * g, 0.5 * f)
-        f, g = fn, gn
+        # I_0 = 1: the first vertex indicator is deterministic
+        fg = _fg_step(rng.integers(0, 2, size=trials) if i else True, fg)
         if (i + 1) % RESCALE_EVERY == 0:
-            s = f + g
+            s = fg[0] + fg[1]
             logscale += np.log(s)
-            f /= s
-            g /= s
-    lnx = logscale + np.log((f + g) / 2.0)
+            fg /= s
+    total = fg[0] + fg[1]
+    lnx = logscale + np.log(total / 2.0)
     log_ratio = lnx / n
-    frac = float(np.mean(lnx >= math.log(threshold)))
+    frac = float(np.mean(lnx >= 0.0))
     if n <= 256:  # totals fit in float range only for short chains
-        totals = np.exp(logscale + np.log(f + g))
+        totals = np.exp(logscale + np.log(total))
         mean_total = float(np.mean(totals))
         std_total = float(np.std(totals))
     else:
         mean_total = std_total = None
     return FGSample(n, trials, False, mean_total, std_total,
-                    float(np.mean(log_ratio)), float(np.median(log_ratio)),
-                    frac, threshold, seed)
+                    float(np.mean(log_ratio)), float(np.median(log_ratio)), frac, seed)
 
 
 @dataclass(frozen=True)
@@ -331,6 +328,8 @@ def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     """Simulate r_n = 1 +- beta / r_(n-1) from r_0 = 1 and report its range."""
     import numpy as np
 
+    if beta < -0.25:  # past |beta| = 1/4 the chain can reach r = 0
+        raise InvalidInput("ratio chain needs beta >= -1/4")
     beta = float(beta)
     r_low, r_high = ratio_support(beta)
     rng = _generator(seed)
@@ -431,10 +430,7 @@ def _fg_chunk(f: float, g: float, bal, stops):
     rows = {}
 
     def step(k, fg):
-        # an imbalanced step is the balanced step applied to the swapped pair
-        ab = np.where(cols[k], fg, fg[::-1])
-        fg = ab * 0.5
-        fg[0] += ab[1]
+        fg = _fg_step(cols[k], fg)
         if k % RESCALE_EVERY == RESCALE_EVERY - 1:
             s = sums[k // RESCALE_EVERY] = fg[0] + fg[1]
             fg /= s
@@ -493,14 +489,10 @@ def lyapunov_estimate(
     form with periodic log-rescaling; mode "fg" runs the homomorphism chain
     itself (float, rescaled) and takes no beta.
     """
-    import numpy as np
-
     if not 1 <= batches <= steps:
         raise InvalidInput("need at least one batch and at least as many steps as batches")
     rng = _generator(seed)
     batch_len = steps // batches
-    total = batches * batch_len
-    batch_means: list[float] = []
     if mode == "recurrence":
         if beta is None:
             raise InvalidInput("recurrence mode needs beta")
@@ -511,26 +503,14 @@ def lyapunov_estimate(
         if beta == 0.0:
             return LyapunovEstimate(mode, beta, steps, seed, 0.0, 0.0, 0.0,
                                     tuple([0.0] * batches))
-        if total >= SCAN_MIN_STEPS:
-            batch_means = _recurrence_scan(rng, beta, batches, batch_len)
-        else:
-            t = 1.0  # x_n / x_(n-1)
-            for _ in range(batches):
-                ds = np.where(rng.integers(0, 2, size=batch_len), beta, -beta).tolist()
-                acc = 0.0
-                for i in range(0, batch_len, RESCALE_EVERY):
-                    prod = 1.0
-                    for d in ds[i:i + RESCALE_EVERY]:
-                        t = 1.0 + d / t
-                        prod *= t
-                    acc += math.log(prod)
-                batch_means.append(acc / batch_len)
+        batch_means = _recurrence_scan(rng, beta, batches, batch_len)
     elif mode == "fg":
         if beta is not None:
             raise InvalidInput("fg mode takes no beta")
-        if total >= SCAN_MIN_STEPS:
+        if batches * batch_len >= SCAN_MIN_STEPS:
             batch_means = _fg_scan(rng, batches, batch_len)
         else:
+            batch_means = []
             f, g = 1.0, 1.0
             prev_ln = 0.0
             logscale = 0.0

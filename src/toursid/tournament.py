@@ -67,7 +67,6 @@ class WeightedTournament:
 
     n: int
     entries: tuple[tuple, ...]
-    loops_half: bool = True
 
     def __post_init__(self):
         _check_square(self.n, self.entries)
@@ -86,16 +85,18 @@ class WeightedTournament:
                         raise InvalidInput(f"A({i},{j}) + A({j},{i}) != 1")
                 elif abs(s - 1.0) > _FLOAT_TOL:
                     raise InvalidInput(f"A({i},{j}) + A({j},{i}) != 1 (float)")
-            if self.loops_half:
-                half = Fraction(1, 2) if exact else 0.5
-                if exact and self.entries[i][i] != half:
-                    raise InvalidInput("half loops requested but diagonal != 1/2")
-                if not exact and abs(self.entries[i][i] - 0.5) > _FLOAT_TOL:
-                    raise InvalidInput("half loops requested but diagonal != 1/2")
 
     @property
     def is_exact(self) -> bool:
         return _is_exact(self.entries)
+
+    @property
+    def loops_half(self) -> bool:
+        """Whether every diagonal entry is 1/2 (within _FLOAT_TOL for floats)."""
+        diagonal = [self.entries[i][i] for i in range(self.n)]
+        if self.is_exact:
+            return all(x == Fraction(1, 2) for x in diagonal)
+        return all(abs(x - 0.5) <= _FLOAT_TOL for x in diagonal)
 
     def rows(self) -> list[list]:
         return [list(row) for row in self.entries]
@@ -223,7 +224,7 @@ def with_half_loops(t: Tournament) -> WeightedTournament:
         [half if i == j else Fraction(t.adj[i][j]) for j in range(t.n)]
         for i in range(t.n)
     ]
-    return WeightedTournament(t.n, _freeze(ent), loops_half=True)
+    return WeightedTournament(t.n, _freeze(ent))
 
 
 def skew_decompose(w: WeightedTournament) -> SkewMatrix:
@@ -343,6 +344,4 @@ def _parse_host(text: str, heads=tuple(_HOST_ROWS)):
     head, n, rows = _read_text(text, {h: _HOST_ROWS[h] for h in heads})
     if head == "tournament n":
         return Tournament(n, _freeze(rows))
-    half = Fraction(1, 2)
-    loops_half = all(i < len(row) and row[i] == half for i, row in enumerate(rows))
-    return WeightedTournament(n, _freeze(rows), loops_half=loops_half)
+    return WeightedTournament(n, _freeze(rows))

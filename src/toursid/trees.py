@@ -128,7 +128,7 @@ def orient_caterpillar(t: Tree) -> TreeOrientation:
     on_spine = set(spine)
     # every off-path vertex must be a pendant leaf of the longest path
     for x in range(t.v):
-        if x not in on_spine and (t.degree(x) != 1 or adj[x][0] not in on_spine):
+        if x not in on_spine and (len(adj[x]) != 1 or adj[x][0] not in on_spine):
             raise NotCaterpillar("off-path vertex is not a pendant leaf")
     arcs: list[tuple[int, int]] = [(spine[0], spine[1])]
     forward = True  # direction of the edge entering the current spine vertex
@@ -138,7 +138,7 @@ def orient_caterpillar(t: Tree) -> TreeOrientation:
         for j, y in enumerate(pendants, start=1):
             away = forward if j % 2 == 1 else not forward
             arcs.append((x, y) if away else (y, x))
-        forward ^= t.degree(x) % 2 == 1  # odd degree reverses the spine direction
+        forward ^= len(adj[x]) % 2 == 1  # odd degree reverses the spine direction
         arcs.append((x, spine[i + 1]) if forward else (spine[i + 1], x))
     return TreeOrientation(t, tuple(arcs), PROV_CATERPILLAR)
 

@@ -205,10 +205,10 @@ def test_path_order(adj, vertices, order):
     assert _path_order(adj, vertices) == order
 
 
-def test_simple_paths_with_and_without_a_length():
-    assert sorted(_simple_paths(STAR, 1)) == [(1,), (1, 0), (1, 0, 2), (1, 0, 3)]
+def test_simple_paths_of_a_given_length():
     assert sorted(_simple_paths(CYCLE, 0, 2)) == [(0, 1, 2), (0, 3, 2)]
     assert list(_simple_paths(CYCLE, 0, 0)) == [(0,)]
     assert list(_simple_paths(TWO, 0, 2)) == []
     # no path repeats a vertex, so the cycle's longest paths have 3 edges
-    assert max(map(len, _simple_paths(CYCLE, 2))) == 4
+    assert len(list(_simple_paths(CYCLE, 2, 3))) == 2
+    assert list(_simple_paths(CYCLE, 2, 4)) == []

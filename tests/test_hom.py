@@ -57,7 +57,7 @@ def test_all_half_matrix_density():
     rows = [[half] * 3 for _ in range(3)]
     from toursid.tournament import WeightedTournament, _freeze
 
-    w = WeightedTournament(3, _freeze(rows), loops_half=True)
+    w = WeightedTournament(3, _freeze(rows))
     patt = digraph(4, [(0, 1), (2, 1), (2, 3)])
     assert hom_generic(patt, w).density == Fraction(1, 2**3)
 
@@ -101,7 +101,7 @@ def test_hom_cycle_c3_all_half():
     from toursid.tournament import WeightedTournament, _freeze
 
     half = Fraction(1, 2)
-    w = WeightedTournament(2, _freeze([[half, half], [half, half]]), loops_half=True)
+    w = WeightedTournament(2, _freeze([[half, half], [half, half]]))
     assert hom_cycle(">>>", w).density == Fraction(1, 8)
 
 
@@ -343,7 +343,7 @@ def _seeded_exact_hosts():
     hosts = []
     for n in (3, 4, 4):
         b = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
-        floats = WeightedTournament(n, _freeze((0.5 + b - b.T).tolist()), loops_half=True)
+        floats = WeightedTournament(n, _freeze((0.5 + b - b.T).tolist()))
         hosts.append(rationalize_host(floats, 10**4))
     for n in (3, 4, 4):
         ent = [[Fraction(0)] * n for _ in range(n)]

@@ -83,7 +83,7 @@ def _reference(d, n, objective, restarts, seed, count=None):
         if not moving.size:
             break
     best = int(np.argmax(sign * val))
-    host = WeightedTournament(n, _freeze(_ref_hosts(b[best]).tolist()), loops_half=True)
+    host = WeightedTournament(n, _freeze(_ref_hosts(b[best]).tolist()))
     trajectories = tuple(tuple(col[~np.isnan(col)].tolist()) for col in accepted.T)
     return search.OptimizeResult(host, float(val[best]), objective, len(b), iterations,
                                  trajectories)

@@ -82,14 +82,14 @@ def test_refute_tree_pattern():
 
 
 def test_certify_rejects_float_host():
-    host = WeightedTournament(2, _freeze([[0.5, 0.6], [0.4, 0.5]]), loops_half=True)
+    host = WeightedTournament(2, _freeze([[0.5, 0.6], [0.4, 0.5]]))
     with pytest.raises(InvalidHost):
         certify("><", host, MODE_TAS)
 
 
 def test_certify_equality_is_no_violation():
     half = F(1, 2)
-    host = WeightedTournament(2, _freeze([[half, half], [half, half]]), loops_half=True)
+    host = WeightedTournament(2, _freeze([[half, half], [half, half]]))
     assert certify(">>", host, MODE_TAS) is None
     assert certify(">>", host, MODE_TS) is None
 
@@ -103,11 +103,7 @@ def test_certify_paper_hosts():
 
 def test_rationalize_host_round_trip():
     w = certificate("PerturbedCyclic").host
-    floaty = WeightedTournament(
-        3,
-        _freeze([[float(x) for x in row] for row in w.entries]),
-        loops_half=True,
-    )
+    floaty = WeightedTournament(3, _freeze([[float(x) for x in row] for row in w.entries]))
     back = rationalize_host(floaty)
     assert back == w  # small denominators recover exactly
 

@@ -23,9 +23,7 @@ from toursid.tournament import WeightedTournament, _freeze
 F = Fraction
 
 # the two-vertex host: a unit arc with half loops
-K_HOST = WeightedTournament(
-    2, _freeze([[F(1, 2), F(1)], [F(0), F(1, 2)]]), loops_half=True
-)
+K_HOST = WeightedTournament(2, _freeze([[F(1, 2), F(1)], [F(0), F(1, 2)]]))
 
 
 def test_fg_forward_path():
@@ -269,18 +267,18 @@ def _per_step_ratio_chain(beta, steps, seed):
     return min_r, max_r, log_sum / steps, inside
 
 
-# from 2^15 steps on the lyapunov chains run as side-by-side segments (the
-# ratio chain keeps its scalar loop at every size): at and just past that
-# threshold, batches of 4104 and 33 steps (not multiples of 64), and one batch
-# longer than a chunk of either chain whose last chunk is shorter than a
-# segment
+# recurrence chains run as side-by-side segments at every size, fg chains from
+# 2^15 steps on (the ratio chain keeps its scalar loop at every size): at and
+# just past that threshold, batches of 4104 and 33 steps (not multiples of
+# 64), and one batch longer than a chunk of either chain whose last chunk is
+# shorter than a segment
 @pytest.mark.parametrize("steps,batches", [(1, 1), (63, 1), (64, 1), (65, 1), (129, 1),
                                            (640, 10), (1000, 7), (6400, 100), (70001, 3),
                                            (32768, 1), (32769, 1), (32832, 8), (33000, 1000),
                                            (262244, 1)])
 def test_sliced_loops_match_the_per_step_loops_bit_for_bit(steps, batches):
     for seed in (0, 5):
-        for beta in (0.125, 0.25, 3 / 64):
+        for beta in (0.125, 0.25, 3 / 64, 1 / 64):
             est = lyapunov_estimate("recurrence", steps, seed, beta=beta, batches=batches)
             assert list(est.batch_means) == _per_step_lyapunov(
                 "recurrence", steps, seed, beta, batches)
@@ -331,3 +329,60 @@ def test_long_chains_hold_one_chunk_at_a_time(mode, beta):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _frozen_sample_fg(n, trials, seed):
+    """sample_fg's Monte Carlo loop as it was before it shared the scan's
+    step, frozen as the reference: (mean_total, std_total, mean_log_ratio,
+    median_log_ratio, frac_at_least)."""
+    import numpy as np
+
+    from toursid.stochastic import RESCALE_EVERY
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    f = np.ones(trials)
+    g = np.ones(trials)
+    logscale = np.zeros(trials)
+    for i in range(n):
+        if i == 0:
+            bal = np.ones(trials, dtype=bool)
+        else:
+            bal = rng.integers(0, 2, size=trials).astype(bool)
+        fn = np.where(bal, 0.5 * f + g, 0.5 * g + f)
+        gn = np.where(bal, 0.5 * g, 0.5 * f)
+        f, g = fn, gn
+        if (i + 1) % RESCALE_EVERY == 0:
+            s = f + g
+            logscale += np.log(s)
+            f /= s
+            g /= s
+    lnx = logscale + np.log((f + g) / 2.0)
+    log_ratio = lnx / n
+    mean_total = std_total = None
+    if n <= 256:
+        totals = np.exp(logscale + np.log(f + g))
+        mean_total, std_total = float(np.mean(totals)), float(np.std(totals))
+    return (mean_total, std_total, float(np.mean(log_ratio)), float(np.median(log_ratio)),
+            float(np.mean(lnx >= 0.0)))
+
+
+# the CLI's golden sample, a short chain with its totals, the last n with
+# totals (a multiple of 64), and a multiple of 64 past it
+@pytest.mark.parametrize("n,trials,seed", [(300, 400, 3), (100, 10_000, 1), (256, 2_000, 9),
+                                           (640, 500, 2)])
+def test_sample_fg_matches_the_frozen_loop_bit_for_bit(n, trials, seed):
+    s = sample_fg(n, trials, seed=seed)
+    got = (s.mean_total, s.std_total, s.mean_log_ratio, s.median_log_ratio, s.frac_at_least)
+    assert got == _frozen_sample_fg(n, trials, seed)
+    assert (s.mean_total is None) == (n > 256)
+
+
+def test_ratio_chain_past_a_quarter_below_zero_is_invalid_input():
+    # |beta| > 1/4 lets r reach 0, a division by zero on most of these seeds
+    for seed in range(5):
+        with pytest.raises(InvalidInput, match="beta >= -1/4"):
+            ratio_chain(-1, 50, seed)
+    for seed in (0, 5):
+        rc = ratio_chain(F(-1, 4), 5000, seed)
+        assert (rc.min_r, rc.max_r, rc.mean_ln_r, rc.all_inside) == _per_step_ratio_chain(
+            -0.25, 5000, seed)

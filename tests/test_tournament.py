@@ -136,9 +136,19 @@ def test_skew_decompose_2x2():
 
 
 def test_skew_decompose_needs_half_loops():
-    w = WeightedTournament(2, _freeze([[0, 1], [0, 0]]), loops_half=False)
+    w = WeightedTournament(2, _freeze([[0, 1], [0, 0]]))
     with pytest.raises(MissingHalfLoops):
         skew_decompose(w)
+
+
+def test_half_loops_are_read_from_the_diagonal():
+    half = Fraction(1, 2)
+    assert WeightedTournament(2, _freeze([[half, 1], [0, half]])).loops_half
+    assert not WeightedTournament(2, _freeze([[half, 1], [0, 0]])).loops_half
+    # floats within the tolerance count, exact entries only at 1/2 itself
+    assert WeightedTournament(2, _freeze([[0.5 + 1e-13, 1.0], [0.0, 0.5]])).loops_half
+    assert not WeightedTournament(2, _freeze([[0.5 + 1e-9, 1.0], [0.0, 0.5]])).loops_half
+    assert not WeightedTournament(1, _freeze([[half + Fraction(1, 10**20)]])).loops_half
 
 
 def test_blowup_identity():
