@@ -27,10 +27,15 @@ segment from the end the last pass gave the one before it, until no start
 changes.  The result is bit for bit the scalar loop's: numpy's +, /, * 0.5
 and select are the same correctly rounded IEEE operations as Python's,
 segment 0 is always exact, and a segment restarted from an exact end is exact
-in turn.  Both chains forget their start within a segment (bitwise), so a
-chunk settles in two or three passes.  Block products, math.log calls and
-running sums keep the scalar loop's order.  Shorter fg chains keep the scalar
-loop, which is faster there; ratio_chain always runs its scalar loop.
+in turn.  A pass stops early at the first CHECKPOINT-step checkpoint where
+every segment repeats the last pass bit for bit (see _settle).  Recurrence
+segments forget their start within a few dozen steps, so the first pass ends
+every segment exactly and the second stops after 32 steps (64 at beta = 1/4).
+The linear fg chain keeps its start's scale until a rescale, so its segments
+merge only at rescales and a chunk takes two or three passes, the last often
+cut short.  Block products, math.log calls and running sums keep the scalar
+loop's order.  Shorter fg chains keep the scalar loop, which is faster there;
+ratio_chain always runs its scalar loop.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ SEGMENT = 256  # steps per segment of the side-by-side scan, a multiple of RESCA
 SCAN_MIN_STEPS = 1 << 15  # shorter fg chains run the scalar loop
 SCAN_CHUNK = 1 << 16  # recurrence steps drawn and settled at a time, a multiple of SEGMENT
 FG_SCAN_CHUNK = 1 << 18  # the same for the fg chain, which keeps one state in RESCALE_EVERY
+CHECKPOINT = 32  # steps between the states a pass of the scan compares with the last pass
+DRAW_BLOCK = 1 << 14  # balance bits sample_fg draws at a time (at least one row)
 
 
 @dataclass(frozen=True)
@@ -150,13 +157,24 @@ class FGSample:
     seed: int | None
 
 
-def _fg_step(bal, fg):
-    """One step of the fg chain on the columns (f, g) of a 2-row array, with
-    one balance bit per column (or one for all); an imbalanced step is the
-    balanced step applied to the swapped pair."""
+def _select(mask, fg):
+    """(f, g) in the columns of a 2-row float64 array where the uint64 mask word
+    is all ones, (g, f) where it is zero: with d = f ^ g masked, the words
+    g ^ d and f ^ d.  Every bit pattern moves unchanged, as in np.where."""
     import numpy as np
 
-    ab = np.where(bal, fg, fg[::-1])
+    w = fg.view(np.uint64)
+    d = w[0] ^ w[1]
+    d &= mask
+    return (w[::-1] ^ d).view(np.float64)
+
+
+def _fg_step(mask, fg):
+    """One step of the fg chain on the columns (f, g) of a 2-row array, with
+    one mask word per column (or one for all), all ones where the step is
+    balanced: an imbalanced step is the balanced step applied to the swapped
+    pair.  Returns a new array."""
+    ab = _select(mask, fg)
     fg = ab * 0.5
     fg[0] += ab[1]
     return fg
@@ -192,15 +210,18 @@ def sample_fg(n: int, trials: int, seed: int | None = None, exhaustive: bool = F
     import numpy as np
 
     rng = _generator(seed)
-    fg = np.ones((2, trials))
+    # I_0 = 1: the first vertex indicator is deterministic
+    fg = _fg_step(~np.uint64(0), np.ones((2, trials)))
     logscale = np.zeros(trials)
-    for i in range(n):
-        # I_0 = 1: the first vertex indicator is deterministic
-        fg = _fg_step(rng.integers(0, 2, size=trials) if i else True, fg)
-        if (i + 1) % RESCALE_EVERY == 0:
-            s = fg[0] + fg[1]
-            logscale += np.log(s)
-            fg /= s
+    mask = np.empty(trials, dtype=np.int64)
+    rows = max(1, DRAW_BLOCK // trials)  # a block of rows is the stream of one draw per row
+    for lo in range(1, n, rows):
+        for i, bits in enumerate(rng.integers(0, 2, size=(min(rows, n - lo), trials)), lo):
+            fg = _fg_step(np.negative(bits, out=mask).view(np.uint64), fg)
+            if (i + 1) % RESCALE_EVERY == 0:
+                s = fg[0] + fg[1]
+                logscale += np.log(s)
+                fg /= s
     total = fg[0] + fg[1]
     lnx = logscale + np.log(total / 2.0)
     log_ratio = lnx / n
@@ -243,26 +264,42 @@ def _settle(step, first, length: int):
     `first` holds one start column per segment along its last axis: column 0
     is the exact start of segment 0, the others are guesses at the starts of
     segments 1, 2, ...  step(k, state) takes the columns before step k of
-    every segment to the columns after it.  A pass runs every segment for
-    `length` steps; the next pass restarts segment s from the end this pass
-    gave segment s - 1.  Once a pass changes no start bit, every segment ran
-    from its exact start, so the last pass took each step exactly as the
-    sequential loop would.  A pass makes at least one more start exact, so S
-    segments settle in at most S passes.  Returns the end columns of the last
-    pass and the number of passes.
+    every segment to the columns after it, a C-contiguous float64 array, and
+    leaves `state` as it was.  It must depend on nothing but k and state; it
+    may write outputs for step k, which a later pass overwrites.  A pass runs
+    every segment for `length` steps; the next pass restarts segment s from
+    the end this pass gave segment s - 1.  Once a pass changes no start bit,
+    every segment ran from its exact start, so the last pass took each step
+    exactly as the sequential loop would.  A pass makes at least one more
+    start exact, so S segments settle in at most S passes.
+
+    Early stop: every CHECKPOINT steps, each pass after the first compares
+    its state with the last pass's state at that step.  If every bit agrees,
+    the rest of this pass would repeat the last one step for step, since a
+    step sees only k and the state: it would write the same outputs and reach
+    the same end, from which the next pass would restart every segment at
+    this pass's starts.  So this pass's starts are exact, every output
+    already holds the sequential loop's value, and the last pass's end is
+    this one's.  Returns the end columns and the number of passes begun.
     """
     import numpy as np
 
+    marks = {}  # step -> state words at that step of the last pass
     starts, passes = first, 0
     while True:
         state = starts
-        for k in range(length):
-            state = step(k, state)
         passes += 1
+        for k in range(length):
+            if k and k % CHECKPOINT == 0:
+                words = state.view(np.uint64)
+                if k in marks and np.array_equal(words, marks[k]):
+                    return end, passes
+                marks[k] = words.copy()
+            state = step(k, state)
         shifted = np.concatenate((starts[..., :1], state[..., :-1]), axis=-1)
         if np.array_equal(shifted.view(np.uint64), starts.view(np.uint64)):
             return state, passes
-        starts = shifted
+        end, starts = state.copy(), shifted
 
 
 def _columns(values, fill):
@@ -330,6 +367,9 @@ def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
 
     if beta < -0.25:  # past |beta| = 1/4 the chain can reach r = 0
         raise InvalidInput("ratio chain needs beta >= -1/4")
+    # checked on the exact value: the float conversion overflows past 1e308
+    if 1 - 4 * beta < 0:
+        raise DiscriminantNegative("ratio chain needs 1 - 4 beta >= 0")
     beta = float(beta)
     r_low, r_high = ratio_support(beta)
     rng = _generator(seed)
@@ -425,12 +465,13 @@ def _fg_chunk(f: float, g: float, bal, stops):
     import numpy as np
 
     cols = _columns(bal, True)
+    mask = np.empty(cols.shape[1], dtype=np.uint64)
     sums = np.empty((SEGMENT // RESCALE_EVERY, cols.shape[1]))
     keep = {j % SEGMENT for j in stops}
     rows = {}
 
     def step(k, fg):
-        fg = _fg_step(cols[k], fg)
+        fg = _fg_step(np.negative(cols[k], out=mask, dtype=np.uint64), fg)
         if k % RESCALE_EVERY == RESCALE_EVERY - 1:
             s = sums[k // RESCALE_EVERY] = fg[0] + fg[1]
             fg /= s
@@ -462,17 +503,16 @@ def _fg_scan(rng, batches: int, batch_len: int) -> list[float]:
         # the batch ends in this chunk, as the local steps they follow
         stops = range(done // batch_len * batch_len + batch_len - done - 1, n, batch_len)
         sums, at, (f, g) = _fg_chunk(f, g, bal, stops)
-        m = 0
+        logs, m = list(map(math.log, sums)), 0
         for j in stops:
-            while m < len(sums) and m * RESCALE_EVERY + RESCALE_EVERY - 1 <= j:
-                logscale += math.log(sums[m])
-                m += 1
+            # the rescales at local steps up to j, summed one at a time
+            logscale = reduce(add, logs[m:(j + 1) // RESCALE_EVERY], logscale)
+            m = (j + 1) // RESCALE_EVERY
             fj, gj = at[j]
             ln_now = logscale + math.log((fj + gj) / 2.0)
             means.append((ln_now - prev_ln) / batch_len)
             prev_ln = ln_now
-        for s in sums[m:]:
-            logscale += math.log(s)
+        logscale = reduce(add, logs[m:], logscale)
     return means
 
 

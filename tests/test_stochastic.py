@@ -167,6 +167,13 @@ def test_ratio_chain_discriminant():
         ratio_chain(0.3, 100, seed=0)
 
 
+@pytest.mark.parametrize("beta", [F(10**400), 10**400, F(1, 4) + F(1, 10**30)])
+def test_ratio_chain_checks_the_discriminant_on_the_exact_beta(beta):
+    # float(10**400) overflows, and float(1/4 + 10^-30) is 1/4
+    with pytest.raises(DiscriminantNegative):
+        ratio_chain(beta, 10, 0)
+
+
 def test_lyapunov_zero_beta_exact():
     est = lyapunov_estimate("recurrence", steps=10_000, seed=5, beta=0)
     assert est.lambda_hat == 0.0
@@ -290,29 +297,84 @@ def test_sliced_loops_match_the_per_step_loops_bit_for_bit(steps, batches):
         assert list(est.batch_means) == _per_step_lyapunov("fg", steps, seed, batches=batches)
 
 
-def test_settle_reruns_a_chain_that_never_forgets_its_start():
-    # x <- x + d on integer-valued floats carries any error in a start to the
-    # end of its segment, so each pass makes exactly one more start exact
+def _settle_and_loop(step_of, starts, segments, length):
+    """_settle on `segments` segments of `length` steps from `starts` (the
+    other segments from the guess 0), and the sequential loop over the same
+    steps.  step_of(k, x, s) takes the state x before step k of segment s,
+    a column of every segment or one float.  Returns the scan's states after
+    every step, its end, passes and step calls, and the loop's states."""
     import numpy as np
 
-    segments, length = 7, 5
-    ds = np.random.default_rng(19).integers(1, 10, size=(length, segments)).astype(float)
-    seen = np.empty_like(ds)
+    cols = np.arange(segments)
+    seen = np.empty((length, segments))
+    calls = [0]
 
     def step(k, x):
-        seen[k] = x + ds[k]
+        calls[0] += 1
+        seen[k] = step_of(k, x, cols)
         return seen[k]
 
     first = np.zeros(segments)
-    first[0] = 3.0
+    first[0] = starts
     end, passes = stochastic._settle(step, first, length)
-    x, want = 3.0, []
-    for d in ds.T.ravel().tolist():
-        x += d
-        want.append(x)
-    assert seen.T.ravel().tolist() == want
+    x, want = starts, []
+    for s in range(segments):
+        for k in range(length):
+            x = float(step_of(k, x, s))
+            want.append(x)
+    return seen.T.ravel().tolist(), end.tolist(), passes, calls[0], want
+
+
+def test_settle_stops_a_pass_once_a_chain_has_coupled_mid_segment():
+    # x <- floor(x/2) + d on integer-valued floats halves any error in a
+    # start, so the segments couple after a few steps: the first pass ends
+    # every segment exactly and the second stops at its first checkpoint
+    import numpy as np
+
+    segments, length = 6, 4 * stochastic.CHECKPOINT
+    ds = np.random.default_rng(23).integers(0, 50, size=(length, segments)).astype(float)
+    got, end, passes, calls, want = _settle_and_loop(
+        lambda k, x, s: np.floor(x * 0.5) + ds[k, s], 1000.0, segments, length)
+    assert got == want
     assert end[-1] == want[-1]
-    assert passes == segments
+    assert passes == 2
+    assert calls == length + stochastic.CHECKPOINT < passes * length
+
+
+def test_settle_stops_a_pass_at_the_checkpoint_where_a_chain_couples():
+    # x <- x + d carries a start's error until the reset at the step before
+    # the second checkpoint, which takes every segment to the same state
+    import numpy as np
+
+    segments, length = 5, 3 * stochastic.CHECKPOINT
+    reset = 2 * stochastic.CHECKPOINT - 1
+    ds = np.random.default_rng(29).integers(1, 10, size=(length, segments)).astype(float)
+
+    def step_of(k, x, s):
+        return ds[k, s] if k == reset else x + ds[k, s]
+
+    got, end, passes, calls, want = _settle_and_loop(step_of, 7.0, segments, length)
+    assert got == want
+    assert end[-1] == want[-1]
+    assert passes == 2
+    assert calls == length + reset + 1
+
+
+def test_settle_reruns_a_chain_that_never_forgets_its_start():
+    # x <- x + d on integer-valued floats carries any error in a start to the
+    # end of its segment, so each pass makes exactly one more start exact;
+    # segments long enough to reach checkpoints never repeat the last pass
+    import numpy as np
+
+    segments = 7
+    for length in (5, 3 * stochastic.CHECKPOINT):
+        ds = np.random.default_rng(19).integers(1, 10, size=(length, segments)).astype(float)
+        got, end, passes, calls, want = _settle_and_loop(
+            lambda k, x, s: x + ds[k, s], 3.0, segments, length)
+        assert got == want
+        assert end[-1] == want[-1]
+        assert passes == segments
+        assert calls == passes * length
 
 
 @pytest.mark.parametrize("mode,beta", [("recurrence", 0.25), ("fg", None)])
@@ -333,8 +395,10 @@ def test_long_chains_hold_one_chunk_at_a_time(mode, beta):
 
 def _frozen_sample_fg(n, trials, seed):
     """sample_fg's Monte Carlo loop as it was before it shared the scan's
-    step, frozen as the reference: (mean_total, std_total, mean_log_ratio,
-    median_log_ratio, frac_at_least)."""
+    step, with one draw of `trials` balance bits per step and an np.where
+    select, frozen as the reference for the draw blocks and the bitwise
+    select: (mean_total, std_total, mean_log_ratio, median_log_ratio,
+    frac_at_least)."""
     import numpy as np
 
     from toursid.stochastic import RESCALE_EVERY
@@ -367,14 +431,59 @@ def _frozen_sample_fg(n, trials, seed):
 
 
 # the CLI's golden sample, a short chain with its totals, the last n with
-# totals (a multiple of 64), and a multiple of 64 past it
+# totals (a multiple of 64), and a multiple of 64 past it; then against the
+# draw blocks: trials that do not divide DRAW_BLOCK (3, 7, 1001, 10,000), one
+# that does (16,384, a block of one row) and one past it (20,000), at n = 1,
+# 64, 65 and 257 (the first n without totals)
 @pytest.mark.parametrize("n,trials,seed", [(300, 400, 3), (100, 10_000, 1), (256, 2_000, 9),
-                                           (640, 500, 2)])
+                                           (640, 500, 2), (1, 3, 0), (1, 20_000, 11),
+                                           (64, 1001, 0), (65, 3, 11), (65, 10_000, 0),
+                                           (257, 1001, 11), (257, 20_000, 0), (130, 16_384, 11),
+                                           (300, 7, 0)])
 def test_sample_fg_matches_the_frozen_loop_bit_for_bit(n, trials, seed):
     s = sample_fg(n, trials, seed=seed)
     got = (s.mean_total, s.std_total, s.mean_log_ratio, s.median_log_ratio, s.frac_at_least)
     assert got == _frozen_sample_fg(n, trials, seed)
     assert (s.mean_total is None) == (n > 256)
+
+
+def test_the_bitwise_select_is_np_where_on_every_word():
+    import numpy as np
+
+    rng = np.random.default_rng(31)
+    special = np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF8000000000000,  # NaNs
+                        0x0000000000000000, 0x8000000000000000,  # +-0.0
+                        0x7FF0000000000000, 0xFFF0000000000000,  # +-inf
+                        0x0000000000000001, 0x800FFFFFFFFFFFFF,  # subnormals
+                        0x3FF0000000000000], dtype=np.uint64)
+    for _ in range(20):
+        words = rng.integers(0, 2**64, size=(2, 997), dtype=np.uint64)
+        words.flat[rng.integers(0, words.size, size=400)] = rng.choice(special, 400)
+        fg = words.view(np.float64)
+        bal = rng.integers(0, 2, size=997)
+        got = stochastic._select(np.negative(bal).view(np.uint64), fg)
+        assert np.array_equal(got.view(np.uint64), np.where(bal, fg, fg[::-1]).view(np.uint64))
+        assert np.array_equal(fg.view(np.uint64), words)  # the input is left as it was
+    got = stochastic._select(~np.uint64(0), fg)  # one all-ones mask for every column
+    assert np.array_equal(got.view(np.uint64), words)
+
+
+def test_sample_fg_holds_no_draw_array_of_every_step():
+    # the bits come in blocks of at most DRAW_BLOCK values, so 100 times the
+    # steps reach the same traced peak (40,000 x 2,000 draws as int64 would
+    # take 640 MB)
+    import tracemalloc
+
+    sample_fg(2, 2, seed=1)  # numpy's import is not part of the peak
+    peaks = []
+    for n in (400, 40_000):
+        tracemalloc.start()
+        try:
+            sample_fg(n, 2000, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0] < 1e6
 
 
 def test_ratio_chain_past_a_quarter_below_zero_is_invalid_input():
