@@ -17,25 +17,23 @@ the chain itself.  The literature's recurrence x_n = x_(n-1) +- beta x_(n-2)
 is exposed separately with beta a free parameter so the beta = 1/8 chain and
 its reported exponent can be reproduced as stated.
 
-lyapunov_estimate runs every recurrence chain, and every fg chain of at
-least SCAN_MIN_STEPS steps, as a segment scan: one chunk of draws at a time
-is cut into SEGMENT-step segments, and each float operation of the scalar
-loop becomes one numpy operation on the column of all segments.  Segment 0
-starts from the exact state, the others from a guess inside the chain's
-invariant range (r = 1, or f = g = 1/2), and each further pass restarts every
-segment from the end the last pass gave the one before it, until no start
-changes.  The result is bit for bit the scalar loop's: numpy's +, /, * 0.5
-and select are the same correctly rounded IEEE operations as Python's,
-segment 0 is always exact, and a segment restarted from an exact end is exact
-in turn.  A pass stops early at the first CHECKPOINT-step checkpoint where
-every segment repeats the last pass bit for bit (see _settle).  Recurrence
-segments forget their start within a few dozen steps, so the first pass ends
-every segment exactly and the second stops after 32 steps (64 at beta = 1/4).
-The linear fg chain keeps its start's scale until a rescale, so its segments
-merge only at rescales and a chunk takes two or three passes, the last often
-cut short.  Block products, math.log calls and running sums keep the scalar
-loop's order.  Shorter fg chains keep the scalar loop, which is faster there;
-ratio_chain always runs its scalar loop.
+Both ratio chains (ratio_chain and lyapunov_estimate's recurrence mode) and
+fg chains of SCAN_MIN_STEPS steps or more run as a segment scan: a chunk of
+draws is cut into SEGMENT-step segments, and each float operation of the
+scalar loop becomes one numpy operation on the column of all segments.
+Segment 0 starts from the exact state, the others from a guess (r = 1, or
+f = g = 1/2); each further pass restarts every segment from the end the last
+pass gave the one before it, until no start changes (see _settle, which also
+stops a pass at the first CHECKPOINT-step checkpoint that repeats the last
+pass).  numpy's +, /, * 0.5 and select are the same correctly rounded IEEE
+operations as Python's, segment 0 is always exact, and a segment restarted
+from an exact end is exact in turn, so the result is bit for bit the scalar
+loop's.  Ratio segments forget their start within a few dozen steps: the
+first pass ends every segment exactly and the second stops after 32 steps (64
+at beta = 1/4).  fg segments merge only at rescales, so an fg chunk takes two
+or three passes.  Block products, math.log calls and running sums keep the
+scalar loop's order.  Shorter fg chains run _fg_walk, a scalar loop with the
+scan's contract; one driver, _fg_scan, draws and books both.
 """
 
 from __future__ import annotations
@@ -318,8 +316,10 @@ def _ratio_path(r: float, rng, n: int, beta: float):
     """r_i = 1 + d_i / r_(i-1) for n fresh draws d_i = +-beta, from r_(-1) = r,
     by the segment scan.
 
-    The segments start from the guess 1.0, which lies in the invariant range
-    of every 0 < beta <= 1/4; the padding steps take d = beta.
+    The segments start from the guess 1.0 and the padding steps take d = beta.
+    The guess lies in the invariant range of every |beta| <= 1/4 (for beta < 0
+    the draws +-beta are those of |beta|), so no segment reaches r = 0; it
+    only changes how many passes run, as _settle makes the path exact anyway.
     """
     import numpy as np
 
@@ -338,33 +338,23 @@ def _ratio_path(r: float, rng, n: int, beta: float):
     return path.T.ravel()[:n]
 
 
-def _ratio_chunk(r: float, rng, n: int, beta: float, runs: int = 1):
-    """The next n steps of the recurrence's ratio t_i = x_i / x_(i-1) from
-    t = r, by the segment scan.
-
-    Returns the last t and the log of each block product: the path is cut
-    into `runs` equal runs and each run into RESCALE_EVERY-step blocks from
-    its start, the last one short, and each product is taken left to right
-    from 1.0, as the scalar loop does.
-    """
+def _block_logs(path):
+    """The log of each block product along the rows of a 2-D path, one list
+    per row: each row is cut into RESCALE_EVERY-step blocks from its start,
+    the last one short, and each product is taken left to right from 1.0, as
+    the scalar loop does."""
     import numpy as np
 
-    path = _ratio_path(r, rng, n, beta).reshape(runs, -1)
-    q, rem = divmod(path.shape[1], RESCALE_EVERY)
-    full = path[:, :q * RESCALE_EVERY].reshape(runs, q, RESCALE_EVERY)
-    prods = np.ones((runs, q + (rem > 0)))
+    prods = np.ones((path.shape[0], -(-path.shape[1] // RESCALE_EVERY)))
     for j in range(RESCALE_EVERY):
-        prods[:, :q] *= full[:, :, j]
-    for j in range(rem):
-        prods[:, q] *= path[:, q * RESCALE_EVERY + j]
-    logs = list(map(math.log, prods.ravel().tolist()))
-    return float(path[-1, -1]), logs
+        col = path[:, j::RESCALE_EVERY]  # step j of every block that has one
+        prods[:, :col.shape[1]] *= col
+    return [list(map(math.log, row)) for row in prods.tolist()]
 
 
 def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
-    """Simulate r_n = 1 +- beta / r_(n-1) from r_0 = 1 and report its range."""
-    import numpy as np
-
+    """Simulate r_n = 1 +- beta / r_(n-1) from r_0 = 1 and report its range,
+    r_0 included, by the segment scan, SCAN_CHUNK steps at a time."""
     if beta < -0.25:  # past |beta| = 1/4 the chain can reach r = 0
         raise InvalidInput("ratio chain needs beta >= -1/4")
     # checked on the exact value: the float conversion overflows past 1e308
@@ -373,23 +363,15 @@ def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     beta = float(beta)
     r_low, r_high = ratio_support(beta)
     rng = _generator(seed)
-    r = 1.0
-    min_r, max_r = r, r
+    r = min_r = max_r = 1.0
     log_sum = 0.0
-    chunk = 1 << 16  # a multiple of RESCALE_EVERY
-    for done in range(0, steps, chunk):
-        signs = rng.integers(0, 2, size=min(chunk, steps - done))
-        ds = np.where(signs, beta, -beta).tolist()
-        for i in range(0, len(ds), RESCALE_EVERY):
-            prod = 1.0
-            for d in ds[i:i + RESCALE_EVERY]:
-                r = 1.0 + d / r
-                if r < min_r:
-                    min_r = r
-                if r > max_r:
-                    max_r = r
-                prod *= r
-            log_sum += math.log(prod)
+    for done in range(0, steps, SCAN_CHUNK):
+        path = _ratio_path(r, rng, min(SCAN_CHUNK, steps - done), beta)
+        r = float(path[-1])
+        min_r = min(min_r, float(path.min()))
+        max_r = max(max_r, float(path.max()))
+        (logs,) = _block_logs(path[None])
+        log_sum = reduce(add, logs, log_sum)
     # r_0 = 1 lies in the support whenever the support is not empty
     inside = r_low - 1e-12 <= min_r and max_r <= r_high + 1e-12
     return RatioChainResult(beta, steps, seed, r_low, r_high, min_r, max_r,
@@ -430,27 +412,44 @@ def _batch_ci(batch_means: list[float], total_mean: float) -> tuple[float, float
 def _recurrence_scan(rng, beta: float, batches: int, batch_len: int) -> list[float]:
     """The recurrence mode's batch means by the segment scan.
 
-    A chunk holds whole batches where one fits, else a SCAN_CHUNK-step piece
-    of one batch (a multiple of RESCALE_EVERY), so each block product comes
-    whole from one path; the block logs are summed in order, batch by batch.
+    A chunk holds max(1, SCAN_CHUNK // batch_len) whole batches and runs them
+    in pieces of min(batch_len, SCAN_CHUNK) steps, a multiple of RESCALE_EVERY
+    where it cuts a batch, so each block product comes whole from one path;
+    the block logs are summed per batch, in order.
     """
+    per, piece = max(1, SCAN_CHUNK // batch_len), min(batch_len, SCAN_CHUNK)
     means, t = [], 1.0
-    if batch_len <= SCAN_CHUNK:
-        per = SCAN_CHUNK // batch_len
-        for b in range(0, batches, per):
-            runs = min(per, batches - b)
-            t, logs = _ratio_chunk(t, rng, runs * batch_len, beta, runs)
-            nb = len(logs) // runs
-            means.extend(reduce(add, logs[i:i + nb], 0.0) / batch_len
-                         for i in range(0, len(logs), nb))
-        return means
-    for _ in range(batches):
-        acc = 0.0
-        for done in range(0, batch_len, SCAN_CHUNK):
-            t, logs = _ratio_chunk(t, rng, min(SCAN_CHUNK, batch_len - done), beta)
-            acc = reduce(add, logs, acc)
-        means.append(acc / batch_len)
+    for b in range(0, batches, per):
+        runs = min(per, batches - b)
+        sums = [0.0] * runs
+        for lo in range(0, batch_len, piece):
+            path = _ratio_path(t, rng, runs * min(piece, batch_len - lo), beta)
+            t = float(path[-1])
+            sums = [reduce(add, logs, acc)
+                    for acc, logs in zip(sums, _block_logs(path.reshape(runs, -1)))]
+        means.extend(acc / batch_len for acc in sums)
     return means
+
+
+def _fg_walk(f: float, g: float, bal, stops):
+    """_fg_chunk's contract by the scalar loop, which is faster on short
+    chains: it runs up to each rescale and each step in `stops` in turn."""
+    bits, ends = bal.tolist(), {j + 1 for j in stops}
+    sums, at, i = [], {}, 0
+    for j in sorted(ends.union(range(RESCALE_EVERY, len(bits), RESCALE_EVERY), [len(bits)])):
+        for b in bits[i:j]:
+            if b:
+                f, g = 0.5 * f + g, 0.5 * g
+            else:
+                f, g = 0.5 * g + f, 0.5 * f
+        i = j
+        if j % RESCALE_EVERY == 0:
+            s = f + g
+            sums.append(s)
+            f, g = f / s, g / s
+        if j in ends:
+            at[j - 1] = f, g
+    return sums, at, (f, g)
 
 
 def _fg_chunk(f: float, g: float, bal, stops):
@@ -487,11 +486,14 @@ def _fg_chunk(f: float, g: float, bal, stops):
 
 
 def _fg_scan(rng, batches: int, batch_len: int) -> list[float]:
-    """The fg mode's batch means by the segment scan, one chunk at a time:
-    the rescale logs and the batch ends are taken in the scalar loop's order."""
+    """The fg mode's batch means, one chunk of draws at a time: by the segment
+    scan (_fg_chunk) from SCAN_MIN_STEPS steps in all, by the scalar loop
+    (_fg_walk) below.  The rescale logs and the batch ends are taken in the
+    scalar loop's order."""
     import numpy as np
 
     total = batches * batch_len
+    advance = _fg_chunk if total >= SCAN_MIN_STEPS else _fg_walk
     means, prev_ln, logscale, f, g = [], 0.0, 0.0, 1.0, 1.0
     for done in range(0, total, FG_SCAN_CHUNK):
         n = min(FG_SCAN_CHUNK, total - done)
@@ -502,7 +504,7 @@ def _fg_scan(rng, batches: int, batch_len: int) -> list[float]:
             bal[0] = True  # the first vertex indicator is deterministic
         # the batch ends in this chunk, as the local steps they follow
         stops = range(done // batch_len * batch_len + batch_len - done - 1, n, batch_len)
-        sums, at, (f, g) = _fg_chunk(f, g, bal, stops)
+        sums, at, (f, g) = advance(f, g, bal, stops)
         logs, m = list(map(math.log, sums)), 0
         for j in stops:
             # the rescales at local steps up to j, summed one at a time
@@ -537,47 +539,14 @@ def lyapunov_estimate(
         if beta is None:
             raise InvalidInput("recurrence mode needs beta")
         # checked before the float conversion, which overflows past 1e308
-        if beta < 0 or 4 * beta - 1 > 1e-15:
+        if beta < 0 or 4 * beta > 1:
             raise DiscriminantNegative("recurrence mode needs 0 <= beta <= 1/4")
         beta = float(beta)
-        if beta == 0.0:
-            return LyapunovEstimate(mode, beta, steps, seed, 0.0, 0.0, 0.0,
-                                    tuple([0.0] * batches))
         batch_means = _recurrence_scan(rng, beta, batches, batch_len)
     elif mode == "fg":
         if beta is not None:
             raise InvalidInput("fg mode takes no beta")
-        if batches * batch_len >= SCAN_MIN_STEPS:
-            batch_means = _fg_scan(rng, batches, batch_len)
-        else:
-            batch_means = []
-            f, g = 1.0, 1.0
-            prev_ln = 0.0
-            logscale = 0.0
-            step = 0
-            for b in range(batches):
-                bal_arr = rng.integers(0, 2, size=batch_len).tolist()
-                if b == 0:
-                    bal_arr[0] = 1  # the first vertex indicator is deterministic
-                i = 0
-                while i < batch_len:
-                    # run up to the next multiple of RESCALE_EVERY steps overall
-                    j = min(batch_len, i + RESCALE_EVERY - step % RESCALE_EVERY)
-                    for bal in bal_arr[i:j]:
-                        if bal:
-                            f, g = 0.5 * f + g, 0.5 * g
-                        else:
-                            f, g = 0.5 * g + f, 0.5 * f
-                    step += j - i
-                    i = j
-                    if step % RESCALE_EVERY == 0:
-                        s = f + g
-                        logscale += math.log(s)
-                        f /= s
-                        g /= s
-                ln_now = logscale + math.log((f + g) / 2.0)
-                batch_means.append((ln_now - prev_ln) / batch_len)
-                prev_ln = ln_now
+        batch_means = _fg_scan(rng, batches, batch_len)
     else:
         raise InvalidInput("mode must be 'recurrence' or 'fg'")
     lam = statistics.fmean(batch_means)

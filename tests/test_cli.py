@@ -146,6 +146,15 @@ def test_recurrence_beta_past_the_float_range_is_a_structured_error(capsys):
     assert json.loads(err)["error"] == "DiscriminantNegative"
 
 
+def test_recurrence_beta_just_past_a_quarter_is_a_structured_error(capsys):
+    # 1/4 + 10^-16 converts to the float 1/4, so only the exact beta is out of range
+    code, out, err = run_cli(capsys, "lyapunov", "--mode", "recurrence",
+                             "--beta", "2500000000000001/10000000000000000",
+                             "--steps", "10", "--seed", "1", "--batches", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DiscriminantNegative"
+
+
 def test_verify_budget_past_the_cap_is_a_structured_error(capsys, monkeypatch):
     from toursid import search
 
@@ -659,6 +668,13 @@ GOLDEN_COMMANDS = [
      '{"beta":"1/8","ci95_high":-0.007528876343776887,"ci95_low":-0.0092155221'
      '2450917,"lambda_hat":-0.008372199234143028,"mode":"recurrence","seed":1,'
      '"steps":100000}\n'),
+    # beta = 0: every zero is +0.0, batch means and both CI ends alike
+    (["lyapunov", "--mode", "recurrence", "--beta", "0", "--steps", "1000", "--seed", "2"],
+     '{"beta":"0/1","ci95_high":0.0,"ci95_low":0.0,"lambda_hat":0.0,"mode":"recurrence",'
+     '"seed":2,"steps":1000}\n'),
+    (["lyapunov", "--mode", "recurrence", "--beta", "0", "--steps", "1000", "--seed", "2",
+      "--batches", "4", "--csv"],
+     'batch,steps,lambda_hat\n0,250,0.0\n1,250,0.0\n2,250,0.0\n3,250,0.0\n'),
     (["lyapunov", "--mode", "fg", "--steps", "20000", "--seed", "2", "--csv"],
      'batch,steps,lambda_hat\n'
      '0,200,-0.04583949451528211\n'

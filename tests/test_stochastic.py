@@ -126,7 +126,8 @@ def test_a_negative_seed_is_invalid_input(run):
     assert run(2**64 + 1) == run(2**64 + 1)
 
 
-@pytest.mark.parametrize("beta", [F(10**400), F(-(10**400))])
+# float(1/4 + 10^-16) is 1/4, so only the exact beta shows it out of range
+@pytest.mark.parametrize("beta", [F(10**400), F(-(10**400)), F(1, 4) + F(1, 10**16)])
 def test_recurrence_beta_past_the_float_range_is_out_of_range(beta):
     with pytest.raises(DiscriminantNegative):
         lyapunov_estimate("recurrence", steps=100, seed=1, beta=beta)
@@ -274,15 +275,16 @@ def _per_step_ratio_chain(beta, steps, seed):
     return min_r, max_r, log_sum / steps, inside
 
 
-# recurrence chains run as side-by-side segments at every size, fg chains from
-# 2^15 steps on (the ratio chain keeps its scalar loop at every size): at and
-# just past that threshold, batches of 4104 and 33 steps (not multiples of
-# 64), and one batch longer than a chunk of either chain whose last chunk is
-# shorter than a segment
+# both ratio chains run as side-by-side segments at every size, fg chains from
+# 2^15 steps on and the scalar walk below: the longest walk, with batch ends
+# off the rescale steps, at and just past that threshold, batches of 4104 and
+# 33 steps (not multiples of 64), one batch a step longer than a ratio chunk,
+# whose last piece is that one step, and one batch longer than an fg chunk
+# whose last chunk is shorter than a segment
 @pytest.mark.parametrize("steps,batches", [(1, 1), (63, 1), (64, 1), (65, 1), (129, 1),
                                            (640, 10), (1000, 7), (6400, 100), (70001, 3),
-                                           (32768, 1), (32769, 1), (32832, 8), (33000, 1000),
-                                           (262244, 1)])
+                                           (32767, 7), (32768, 1), (32769, 1), (32832, 8),
+                                           (33000, 1000), (65537, 1), (262244, 1)])
 def test_sliced_loops_match_the_per_step_loops_bit_for_bit(steps, batches):
     for seed in (0, 5):
         for beta in (0.125, 0.25, 3 / 64, 1 / 64):
