@@ -355,11 +355,13 @@ def _block_logs(path):
 def ratio_chain(beta, steps: int, seed: int) -> RatioChainResult:
     """Simulate r_n = 1 +- beta / r_(n-1) from r_0 = 1 and report its range,
     r_0 included, by the segment scan, SCAN_CHUNK steps at a time."""
-    if beta < -0.25:  # past |beta| = 1/4 the chain can reach r = 0
+    if not beta >= -0.25:  # past |beta| = 1/4 the chain can reach r = 0; NaN fails too
         raise InvalidInput("ratio chain needs beta >= -1/4")
     # checked on the exact value: the float conversion overflows past 1e308
     if 1 - 4 * beta < 0:
         raise DiscriminantNegative("ratio chain needs 1 - 4 beta >= 0")
+    if steps < 1:
+        raise InvalidInput("ratio chain needs at least one step")
     beta = float(beta)
     r_low, r_high = ratio_support(beta)
     rng = _generator(seed)
@@ -538,8 +540,8 @@ def lyapunov_estimate(
     if mode == "recurrence":
         if beta is None:
             raise InvalidInput("recurrence mode needs beta")
-        # checked before the float conversion, which overflows past 1e308
-        if beta < 0 or 4 * beta > 1:
+        # checked before the float conversion, which overflows past 1e308; NaN fails it
+        if not (0 <= beta and 4 * beta <= 1):
             raise DiscriminantNegative("recurrence mode needs 0 <= beta <= 1/4")
         beta = float(beta)
         batch_means = _recurrence_scan(rng, beta, batches, batch_len)

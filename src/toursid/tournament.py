@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -56,17 +55,31 @@ class Tournament:
             for j in range(i + 1, self.n):
                 if self.adj[i][j] + self.adj[j][i] != 1:
                     raise InvalidInput(f"pair ({i},{j}) must have exactly one arc")
+        if any(x not in (0, 1) for row in self.adj for x in row):
+            raise InvalidInput("entries must be 0 or 1")
 
     def arcs(self) -> set[tuple[int, int]]:
         return {(i, j) for i in range(self.n) for j in range(self.n) if self.adj[i][j]}
 
 
 @dataclass(frozen=True)
-class WeightedTournament:
-    """Adjacency matrix with A(i,j) + A(j,i) = 1 off-diagonal, entries in [0,1]."""
+class _Matrix:
+    """Square matrix of exact or float entries; subclasses check their own rules."""
 
     n: int
     entries: tuple[tuple, ...]
+
+    @property
+    def is_exact(self) -> bool:
+        return _is_exact(self.entries)
+
+    def rows(self) -> list[list]:
+        return [list(row) for row in self.entries]
+
+
+@dataclass(frozen=True)
+class WeightedTournament(_Matrix):
+    """Adjacency matrix with A(i,j) + A(j,i) = 1 off-diagonal, entries in [0,1]."""
 
     def __post_init__(self):
         _check_square(self.n, self.entries)
@@ -75,7 +88,7 @@ class WeightedTournament:
         for i in range(self.n):
             for j in range(self.n):
                 x = self.entries[i][j]
-                if x < 0 or x > 1:
+                if not (0 <= x <= 1):
                     raise InvalidInput(f"entry ({i},{j}) = {x} outside [0,1]")
                 if i == j:
                     continue
@@ -87,10 +100,6 @@ class WeightedTournament:
                     raise InvalidInput(f"A({i},{j}) + A({j},{i}) != 1 (float)")
 
     @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.entries)
-
-    @property
     def loops_half(self) -> bool:
         """Whether every diagonal entry is 1/2 (within _FLOAT_TOL for floats)."""
         diagonal = [self.entries[i][i] for i in range(self.n)]
@@ -98,12 +107,9 @@ class WeightedTournament:
             return all(x == Fraction(1, 2) for x in diagonal)
         return all(abs(x - 0.5) <= _FLOAT_TOL for x in diagonal)
 
-    def rows(self) -> list[list]:
-        return [list(row) for row in self.entries]
-
 
 @dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(_Matrix):
     """Skew-symmetric matrix with entries in [-1, 1].
 
     Entries beyond [-1/2, 1/2] are legal for pure kernel computations;
@@ -111,16 +117,13 @@ class SkewMatrix:
     tournament range.
     """
 
-    n: int
-    entries: tuple[tuple, ...]
-
     def __post_init__(self):
         _check_square(self.n, self.entries)
         exact = self.is_exact
         for i in range(self.n):
             for j in range(self.n):
                 x = self.entries[i][j]
-                if x < -1 or x > 1:
+                if not (-1 <= x <= 1):
                     raise InvalidInput(f"entry ({i},{j}) = {x} outside [-1,1]")
                 s = self.entries[i][j] + self.entries[j][i]
                 if exact:
@@ -128,13 +131,6 @@ class SkewMatrix:
                         raise InvalidInput("matrix is not skew-symmetric")
                 elif abs(s) > _FLOAT_TOL:
                     raise InvalidInput("matrix is not skew-symmetric (float)")
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.entries)
-
-    def rows(self) -> list[list]:
-        return [list(row) for row in self.entries]
 
     def scaled(self, c) -> "SkewMatrix":
         return SkewMatrix(self.n, _freeze([[c * x for x in row] for row in self.entries]))
@@ -189,32 +185,26 @@ def half_loop_stack(n: int) -> np.ndarray:
     return twice
 
 
-def enumerate_tournaments(n: int) -> Iterator[Tournament]:
-    """All tournaments on n vertices, in the order of tournament_stack."""
-    for adj in tournament_stack(n):
-        yield Tournament(n, _freeze(adj.tolist()))
+def _orient(n: int, forward) -> Tournament:
+    """Arc i -> j where forward(i, j) holds and j -> i otherwise, asked once
+    per pair i < j, row by row."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i][j], adj[j][i] = (1, 0) if forward(i, j) else (0, 1)
+    return Tournament(n, _freeze(adj))
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
     """Each pair oriented by an independent fair coin; deterministic in seed."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
     rng = random.Random(seed)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                adj[i][j] = 1
-            else:
-                adj[j][i] = 1
-    return Tournament(n, _freeze(adj))
+    return _orient(n, lambda i, j: rng.random() < 0.5)
 
 
 def transitive(n: int) -> Tournament:
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    adj = [[1 if i < j else 0 for j in range(n)] for i in range(n)]
-    return Tournament(n, _freeze(adj))
+    return _orient(n, lambda i, j: True)
 
 
 def with_half_loops(t: Tournament) -> WeightedTournament:
@@ -248,25 +238,10 @@ def blowup(t: Tournament, part_sizes, inner: str = "transitive", seed: int = 0) 
     if any(s < 1 for s in part_sizes):
         raise ValueError("part sizes must be positive")
     rng = random.Random(seed)
-    offsets = [0]
-    for s in part_sizes:
-        offsets.append(offsets[-1] + s)
-    n = offsets[-1]
     part_of = [k for k, s in enumerate(part_sizes) for _ in range(s)]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = part_of[i], part_of[j]
-            if pi != pj:
-                if t.adj[pi][pj]:
-                    adj[i][j] = 1
-                else:
-                    adj[j][i] = 1
-            elif inner == "transitive" or rng.random() < 0.5:
-                adj[i][j] = 1
-            else:
-                adj[j][i] = 1
-    return Tournament(n, _freeze(adj))
+    return _orient(len(part_of), lambda i, j: (
+        t.adj[part_of[i]][part_of[j]] if part_of[i] != part_of[j]
+        else inner == "transitive" or rng.random() < 0.5))
 
 
 def cutnorm_bruteforce(b: SkewMatrix):

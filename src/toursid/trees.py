@@ -41,9 +41,7 @@ from .errors import (
     NotIndependent,
     PreconditionViolated,
 )
-from .tournament import Tournament, _freeze, tournament_stack
-
-STRONG_TAS_CAP = 6
+from .tournament import ENUMERATION_CAP, Tournament, _freeze, tournament_stack
 
 PROV_CATERPILLAR = "CaterpillarRule"
 PROV_ISO_PAIR = "IsoPairRecursion"
@@ -335,8 +333,8 @@ def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:
         raise InvalidInput(f"anchors must be vertices 0..{d.v - 1} of the pattern")
     if n_max < 1:
         raise PreconditionViolated("the strong TAS check needs n_max >= 1")
-    if n_max > STRONG_TAS_CAP:
-        raise CapExceeded(f"strong TAS check capped at n <= {STRONG_TAS_CAP}")
+    if n_max > ENUMERATION_CAP:
+        raise CapExceeded(f"strong TAS check capped at n <= {ENUMERATION_CAP}")
     for u, w in d.arcs:
         if u in i_set and w in i_set:
             raise NotIndependent(f"arc ({u},{w}) lies inside the anchored set")
@@ -369,8 +367,8 @@ def amgm_check(h: Digraph, w: int, n_max: int) -> ExhaustiveReport:
     """Verify N(D, T | v -> t) <= N(H, T)^2 / 4 exhaustively for n <= n_max."""
     if n_max < 1:
         raise PreconditionViolated("the AM-GM check needs n_max >= 1")
-    if n_max > STRONG_TAS_CAP:
-        raise CapExceeded(f"check capped at n <= {STRONG_TAS_CAP}")
+    if n_max > ENUMERATION_CAP:
+        raise CapExceeded(f"check capped at n <= {ENUMERATION_CAP}")
     d, v_new, _ = glued_pair_digraph(h, w)
     checked = 0
     for n in range(1, n_max + 1):

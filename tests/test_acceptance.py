@@ -24,6 +24,7 @@ from itertools import product
 
 import numpy as np
 
+from test_tournament import stack_tournaments
 from toursid.classify import Verdict, classify_cycle, classify_path
 from toursid.construct import (
     CertDirection,
@@ -57,7 +58,6 @@ from toursid.stochastic import (
 )
 from toursid.tournament import (
     cutnorm_bruteforce,
-    enumerate_tournaments,
     skew,
     skew_decompose,
     with_half_loops,
@@ -227,7 +227,7 @@ def test_criterion_5_expansion_suite():
     mism = 0
     hosts = []
     for n in range(1, 5):
-        hosts.extend(with_half_loops(t) for t in enumerate_tournaments(n))
+        hosts.extend(with_half_loops(t) for t in stack_tournaments(n))
     pairs = [(w, skew_decompose(w)) for w in hosts]
     for e in range(1, 7):
         for dirs in product((1, -1), repeat=e):

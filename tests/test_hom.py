@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from test_tournament import stack_tournaments
 from toursid.core import (
     Orientation,
     cycle_digraph,
@@ -27,7 +28,6 @@ from toursid.hom import (
     t_kernel_path,
 )
 from toursid.tournament import (
-    enumerate_tournaments,
     random_tournament,
     skew,
     skew_decompose,
@@ -78,7 +78,7 @@ def test_hom_path_forward_closed_form():
 
 
 def test_hom_path_matches_generic_exhaustive():
-    hosts = [with_half_loops(t) for n in (2, 3) for t in enumerate_tournaments(n)]
+    hosts = [with_half_loops(t) for n in (2, 3) for t in stack_tournaments(n)]
     for e in range(1, 5):
         for dirs in product((1, -1), repeat=e):
             o = Orientation(dirs)
@@ -189,15 +189,15 @@ def test_2p3_equals_p3_squared_generic():
 
 def half_loop_stack(n):
     """Every half-loop host on n vertices as one exact (Fraction) stack."""
-    return np.array([with_half_loops(t).rows() for t in enumerate_tournaments(n)], dtype=object)
+    return np.array([with_half_loops(t).rows() for t in stack_tournaments(n)], dtype=object)
 
 
 def test_path_evaluators_agree_e6_n4():
     # hom_path (factor products) vs the contraction kernel are independent
     # exact routes; exhaustive agreement for e <= 6 over every host n <= 4,
     # with the brute-force map sum as a third route at n <= 3
-    hosts_small = [[with_half_loops(t) for t in enumerate_tournaments(n)] for n in (1, 2, 3)]
-    hosts_four = [with_half_loops(t) for t in enumerate_tournaments(4)]
+    hosts_small = [[with_half_loops(t) for t in stack_tournaments(n)] for n in (1, 2, 3)]
+    hosts_four = [with_half_loops(t) for t in stack_tournaments(4)]
     stacks = {n: half_loop_stack(n) for n in (1, 2, 3, 4)}
     for e in range(1, 7):
         for dirs in product((1, -1), repeat=e):
@@ -211,7 +211,7 @@ def test_path_evaluators_agree_e6_n4():
 
 
 def test_cycle_evaluator_agrees_with_bruteforce():
-    hosts = [with_half_loops(t) for n in (2, 3) for t in enumerate_tournaments(n)]
+    hosts = [with_half_loops(t) for n in (2, 3) for t in stack_tournaments(n)]
     for ell in (3, 4, 5):
         for dirs in product((1, -1), repeat=ell):
             o = Orientation(dirs)
@@ -232,7 +232,7 @@ def test_contract_matches_generic_on_cycles_and_digraphs():
     ]
     for n in (1, 2, 3):
         stack = half_loop_stack(n)
-        hosts = [with_half_loops(t) for t in enumerate_tournaments(n)]
+        hosts = [with_half_loops(t) for t in stack_tournaments(n)]
         for d in patterns:
             assert list(contract(d, stack)) == [hom_generic(d, h).raw for h in hosts]
         assert list(contract(digraph(3, []), stack)) == [n**3] * len(hosts)
@@ -244,7 +244,7 @@ def test_contract_exact_types_and_float_stack():
     ints = tournament_stack(4).astype(object)
     counts = contract(d, ints)
     assert all(type(c) is int for c in counts)
-    assert list(counts) == [hom_generic(d, t).raw for t in enumerate_tournaments(4)]
+    assert list(counts) == [hom_generic(d, t).raw for t in stack_tournaments(4)]
     exact = half_loop_stack(3)
     floats = contract(d, exact.astype(float))
     assert np.allclose(floats, contract(d, exact).astype(float), rtol=1e-12, atol=0)
@@ -255,7 +255,7 @@ def test_contract_long_path_past_einsum_letters():
     o = Orientation(tuple((1, 1, -1) * 20))
     d = path_digraph(o)
     stack = half_loop_stack(3)
-    hosts = [with_half_loops(t) for t in enumerate_tournaments(3)]
+    hosts = [with_half_loops(t) for t in stack_tournaments(3)]
     assert list(contract(d, stack)) == [hom_path(o, h).raw for h in hosts]
 
 
@@ -263,7 +263,7 @@ def test_contract_wide_star_merges_its_leaf_factors():
     # 70 leaves on one centre: h = sum_i (row sum i)^70; merged factors keep
     # the centre's einsum within numpy's operand limit
     d = digraph(71, [(0, i) for i in range(1, 71)])
-    hosts = [with_half_loops(t) for t in enumerate_tournaments(3)]
+    hosts = [with_half_loops(t) for t in stack_tournaments(3)]
     assert list(contract(d, half_loop_stack(3))) == [
         sum(sum(row) ** 70 for row in h.rows()) for h in hosts]
 
@@ -369,7 +369,7 @@ def test_scaled_generic_matches_the_fraction_reference():
 
     patterns = [path_digraph(parse_orientation(">><")), cycle_digraph(parse_orientation(">><<")),
                 digraph(4, [(0, 1), (2, 1), (1, 3), (3, 0)])]
-    hosts = [with_half_loops(t) for n in (1, 2, 3, 4) for t in enumerate_tournaments(n)]
+    hosts = [with_half_loops(t) for n in (1, 2, 3, 4) for t in stack_tournaments(n)]
     for host in hosts + _seeded_exact_hosts():
         rows = host_entries(host)[1]
         for d in patterns:
@@ -391,7 +391,7 @@ def test_blocked_generic_matches_the_map_loop():
     spread = digraph(9, [(0, 1), (1, 5), (8, 0), (4, 6), (6, 7), (7, 3), (2, 8)])
     small = [digraph(1, []), digraph(3, []), digraph(3, [(0, 2)]),
              path_digraph(parse_orientation("><<")), cycle_digraph(parse_orientation(">>>"))]
-    half_loop = [with_half_loops(t) for n in (1, 2, 3, 4) for t in enumerate_tournaments(n)]
+    half_loop = [with_half_loops(t) for n in (1, 2, 3, 4) for t in stack_tournaments(n)]
     big = [rng.integers(-10**12, 10**12, (n, n)).tolist() for n in (1, 2, 3)]
     big.append([[10**12] * 3] * 3)
     floats = [rng.uniform(-1, 1, (n, n)).tolist() for n in (1, 2, 3, 4)]

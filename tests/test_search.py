@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from test_tournament import stack_tournaments
 from toursid.construct import CertDirection, certificate
 from toursid.core import Orientation, cycle_digraph, digraph, path_digraph
 from toursid.errors import CapExceeded, InvalidHost, PreconditionViolated
@@ -18,7 +19,7 @@ from toursid.search import (
     rationalize_host,
     refute,
 )
-from toursid.tournament import WeightedTournament, _freeze, enumerate_tournaments, with_half_loops
+from toursid.tournament import WeightedTournament, _freeze, with_half_loops
 
 F = Fraction
 
@@ -174,7 +175,7 @@ def _refute_by_host_loop(pattern, mode, n_max):
     for n in range(1, n_max + 1):
         threshold = F(n**d.v, 2**d.e)
         hit = None
-        for t in enumerate_tournaments(n):
+        for t in stack_tournaments(n):
             host = with_half_loops(t)
             value = F(hom_generic(d, host).raw)
             samples += 1

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from test_tournament import stack_tournaments
 import toursid
 from toursid.construct import named_kernel, w_eps
 from toursid.core import Orientation
@@ -31,7 +32,6 @@ from toursid.spectral import (
     x_moment,
 )
 from toursid.tournament import (
-    enumerate_tournaments,
     random_tournament,
     skew,
     skew_decompose,
@@ -309,7 +309,7 @@ def test_to_text_stable():
 def test_eval_matches_hom_exhaustive():
     hosts = []
     for n in range(1, 5):
-        hosts.extend(with_half_loops(t) for t in enumerate_tournaments(n))
+        hosts.extend(with_half_loops(t) for t in stack_tournaments(n))
     polys = {}
     for e in range(1, 7):
         for dirs in product((1, -1), repeat=e):

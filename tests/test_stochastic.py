@@ -126,8 +126,9 @@ def test_a_negative_seed_is_invalid_input(run):
     assert run(2**64 + 1) == run(2**64 + 1)
 
 
-# float(1/4 + 10^-16) is 1/4, so only the exact beta shows it out of range
-@pytest.mark.parametrize("beta", [F(10**400), F(-(10**400)), F(1, 4) + F(1, 10**16)])
+# float(1/4 + 10^-16) is 1/4, so only the exact beta shows it out of range;
+# NaN fails every comparison, so the range check is written to fail on it
+@pytest.mark.parametrize("beta", [F(10**400), F(-(10**400)), F(1, 4) + F(1, 10**16), float("nan")])
 def test_recurrence_beta_past_the_float_range_is_out_of_range(beta):
     with pytest.raises(DiscriminantNegative):
         lyapunov_estimate("recurrence", steps=100, seed=1, beta=beta)
@@ -173,6 +174,17 @@ def test_ratio_chain_checks_the_discriminant_on_the_exact_beta(beta):
     # float(10**400) overflows, and float(1/4 + 10^-30) is 1/4
     with pytest.raises(DiscriminantNegative):
         ratio_chain(beta, 10, 0)
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_ratio_chain_needs_a_step(steps):
+    with pytest.raises(InvalidInput, match="at least one step"):
+        ratio_chain(0.125, steps, 1)
+
+
+def test_ratio_chain_nan_beta_is_invalid_input():
+    with pytest.raises(InvalidInput, match="beta >= -1/4"):
+        ratio_chain(float("nan"), 100, 1)
 
 
 def test_lyapunov_zero_beta_exact():

@@ -2,17 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from toursid.errors import CapExceeded, MissingHalfLoops
+from toursid.errors import CapExceeded, InvalidInput, MissingHalfLoops
 from toursid.hom import hom_generic
 from toursid.core import digraph
 from toursid.spectral import eigenvalues
 from toursid.tournament import (
+    SkewMatrix,
     Tournament,
     WeightedTournament,
     _freeze,
     cutnorm_bruteforce,
     blowup,
-    enumerate_tournaments,
     format_tournament_text,
     format_weighted_text,
     parse_tournament_text,
@@ -26,14 +26,19 @@ from toursid.tournament import (
 )
 
 
+def stack_tournaments(n):
+    """Every tournament on n vertices as a Tournament, in the order of tournament_stack."""
+    return [Tournament(n, _freeze(adj.tolist())) for adj in tournament_stack(n)]
+
+
 def test_enumerate_counts():
-    assert sum(1 for _ in enumerate_tournaments(1)) == 1
-    assert sum(1 for _ in enumerate_tournaments(3)) == 8
-    assert sum(1 for _ in enumerate_tournaments(5)) == 1024 == len(tournament_stack(5))
+    assert len(tournament_stack(1)) == 1
+    assert len(tournament_stack(3)) == 8
+    assert len(tournament_stack(5)) == 1024 == len(stack_tournaments(5))
 
 
 def test_enumerate_distinct():
-    seen = {t.adj for t in enumerate_tournaments(4)}
+    seen = {t.adj for t in stack_tournaments(4)}
     assert len(seen) == 64
 
 
@@ -42,33 +47,29 @@ def test_enumerate_cyclic_triangles():
     c3 = digraph(3, [(0, 1), (1, 2), (2, 0)])
     cyclic = sum(
         1
-        for t in enumerate_tournaments(3)
+        for t in stack_tournaments(3)
         if hom_generic(c3, t).raw > 0
     )
     assert cyclic == 2
 
 
 def test_enumerate_cap():
-    for n in (7, 8):
-        with pytest.raises(CapExceeded):
-            next(enumerate_tournaments(n))
-        with pytest.raises(CapExceeded):
+    for n in (0, 7, 8):
+        with pytest.raises(CapExceeded, match="enumeration capped at n <= 6"):
             tournament_stack(n)
-    with pytest.raises(CapExceeded):
-        tournament_stack(0)
 
 
 def test_stack_order_is_upper_triangle_bits():
-    # pairs (0,1), (0,2), (1,2) from the most significant bit down; a set
-    # bit orients the pair forward
-    stack = tournament_stack(3)
-    assert stack.shape == (8, 3, 3)
-    for k, adj in enumerate(stack):
-        bits = [(k >> 2) & 1, (k >> 1) & 1, k & 1]
-        assert [adj[0][1], adj[0][2], adj[1][2]] == bits
-        assert (adj + adj.T).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    assert [t.adj for t in enumerate_tournaments(4)] == [
-        tuple(map(tuple, adj.tolist())) for adj in tournament_stack(4)]
+    # pairs (0,1), (0,2), ... (n-2,n-1) from the most significant bit down;
+    # a set bit orients the pair forward
+    for n in (3, 4):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        stack = tournament_stack(n)
+        assert stack.shape == (2 ** len(pairs), n, n)
+        for k, adj in enumerate(stack):
+            bits = [(k >> (len(pairs) - 1 - p)) & 1 for p in range(len(pairs))]
+            assert [adj[i][j] for i, j in pairs] == bits
+            assert (adj + adj.T).tolist() == [[int(i != j) for j in range(n)] for i in range(n)]
 
 
 def test_random_tournament_deterministic():
@@ -149,6 +150,40 @@ def test_half_loops_are_read_from_the_diagonal():
     assert WeightedTournament(2, _freeze([[0.5 + 1e-13, 1.0], [0.0, 0.5]])).loops_half
     assert not WeightedTournament(2, _freeze([[0.5 + 1e-9, 1.0], [0.0, 0.5]])).loops_half
     assert not WeightedTournament(1, _freeze([[half + Fraction(1, 10**20)]])).loops_half
+
+
+def test_tournament_entries_must_be_0_or_1():
+    # the pair sums to 1, but 2 and -1 are no arcs: hom counts came out negative
+    with pytest.raises(InvalidInput, match="entries must be 0 or 1"):
+        Tournament(2, ((0, 2), (-1, 0)))
+    with pytest.raises(InvalidInput, match="entries must be 0 or 1"):
+        Tournament(2, ((0, 0.5), (0.5, 0)))
+    # a bad pair sum later in the matrix keeps its own message
+    with pytest.raises(InvalidInput, match=r"pair \(0,2\) must have exactly one arc"):
+        Tournament(3, ((0, 2, 1), (-1, 0, 1), (1, 1, 0)))
+
+
+def test_weighted_tournament_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(InvalidInput, match=r"entry \(0,1\) = nan outside \[0,1\]"):
+        WeightedTournament(2, ((0.5, nan), (nan, 0.5)))
+
+
+def test_skew_matrix_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(InvalidInput, match=r"entry \(0,1\) = nan outside \[-1,1\]"):
+        SkewMatrix(2, ((0.0, nan), (nan, 0.0)))
+
+
+def test_constructed_hosts_are_pinned():
+    # recorded before the three builders shared one pair loop; guards the draw order
+    assert random_tournament(6, 3).adj == (
+        (0, 1, 0, 1, 0, 0), (0, 0, 1, 1, 0, 1), (1, 0, 0, 1, 0, 1),
+        (0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 0))
+    assert transitive(4).adj == ((0, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0))
+    assert blowup(random_tournament(3, 1), [2, 1, 3], "random", 5).adj == (
+        (0, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0),
+        (1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0))
 
 
 def test_blowup_identity():
@@ -234,7 +269,7 @@ def test_weighted_text_decimals():
 
 
 def test_enumeration_is_lexicographic():
-    ts = list(enumerate_tournaments(3))
+    ts = stack_tournaments(3)
     # first: all upper-triangle bits 0 (every pair oriented j -> i)
     assert ts[0].arcs() == {(1, 0), (2, 0), (2, 1)}
     # last: all bits 1 = transitive order

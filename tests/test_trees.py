@@ -11,6 +11,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
+from test_tournament import stack_tournaments
 from toursid.cli import main
 from toursid.core import _component, digraph, format_tree_text, tree
 from toursid.errors import (
@@ -21,13 +22,12 @@ from toursid.errors import (
     NotIndependent,
     PreconditionViolated,
 )
-from toursid.tournament import Tournament, enumerate_tournaments, tournament_stack
+from toursid.tournament import ENUMERATION_CAP, Tournament, tournament_stack
 import toursid
 from toursid.trees import (
     PROV_CATERPILLAR,
     PROV_ISO_PAIR,
     PROV_UNKNOWN,
-    STRONG_TAS_CAP,
     ExhaustiveReport,
     IsoPair,
     _labeled_counts,
@@ -250,7 +250,7 @@ def test_strong_tas_anchors_must_be_vertices(anchors):
 
 def test_strong_tas_cap():
     with pytest.raises(CapExceeded):
-        strong_tas_check(digraph(2, [(0, 1)]), [0], n_max=STRONG_TAS_CAP + 1)
+        strong_tas_check(digraph(2, [(0, 1)]), [0], n_max=ENUMERATION_CAP + 1)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -260,6 +260,31 @@ def test_anchored_checks_need_a_host_size(n_max):
         strong_tas_check(digraph(3, [(0, 1), (1, 2)]), [1], n_max=n_max)
     with pytest.raises(PreconditionViolated):
         amgm_check(digraph(1, []), 0, n_max=n_max)
+
+
+def test_amgm_cap():
+    with pytest.raises(CapExceeded, match="check capped at n <= 6"):
+        amgm_check(digraph(2, [(0, 1)]), 1, n_max=ENUMERATION_CAP + 1)
+
+
+def test_amgm_reports_a_forced_violation(monkeypatch):
+    # the AM-GM step is a theorem, so only a wrong count reaches this branch:
+    # raise the glued count of host 5 of n = 3 (the cyclic triangle) at t = 2
+    real = toursid.trees._labeled_counts
+
+    def raised(d, adj, anchors):
+        counts = real(d, adj, anchors)
+        if anchors and adj.shape[1] == 3:
+            counts = counts.copy()
+            counts[5, 2] = 100
+        return counts
+
+    monkeypatch.setattr(toursid.trees, "_labeled_counts", raised)
+    rep = amgm_check(digraph(2, [(0, 1)]), 1, n_max=4)
+    # 1 + 2 * 2 maps checked at n = 1, 2, then hosts 0..4 and t = 0..2 of host 5
+    assert (rep.passed, rep.checked) == (False, 5 + 5 * 3 + 3)
+    assert rep.counterexample == {"n": 3, "adj": ((0, 1, 0), (0, 0, 1), (1, 0, 0)), "t": 2,
+                                  "count": 100, "bound": F(9, 4)}
 
 
 def test_glued_pair_shape():
@@ -304,7 +329,7 @@ def test_amgm_reports_are_pinned():
 
 @lru_cache(maxsize=None)
 def _hosts(n):
-    return tuple(enumerate_tournaments(n))
+    return tuple(stack_tournaments(n))
 
 
 @lru_cache(maxsize=256)
@@ -423,7 +448,7 @@ STAR = digraph(6, [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5)])
 
 def test_reports_at_the_cap_are_pinned():
     # equal to the reports of the per-arc flat gather with its cap lifted to 6
-    assert STRONG_TAS_CAP == 6
+    assert ENUMERATION_CAP == 6
     p4a = digraph(4, [(0, 1), (1, 2), (2, 3)])
     assert strong_tas_check(p4a, (0, 2), 6) == ExhaustiveReport(True, 1_004_340, None)
     assert strong_tas_check(STAR, (0, 1, 2), 6) == ExhaustiveReport(True, 3_995_184, None)
