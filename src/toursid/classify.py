@@ -29,7 +29,7 @@ _tail_direction).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import as_cycle, as_orientation
 from .errors import InternalAssertionFailed, PreconditionViolated
@@ -60,13 +60,7 @@ class Classification:
             "input": self.input_text,
             "v": self.v,
             "e": self.e,
-            "counts": {
-                "c_p3": self.counts.c_p3,
-                "c_p5": self.counts.c_p5,
-                "c_2p3": self.counts.c_2p3,
-                "min_k": self.counts.min_k,
-                "c_min_k": self.counts.c_min_k,
-            },
+            "counts": asdict(self.counts),
             "verdict": self.verdict.value,
             "rule": self.rule,
         }

@@ -2,8 +2,9 @@
 
 Every subcommand is scriptable: identical inputs and seeds produce
 byte-identical output, exact values serialize as "p/q" strings, results go
-to stdout and structured errors to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage error.
+to stdout and structured errors to stderr.  Every handler prints through
+_emit (lyapunov --csv writes its own rows) and returns nothing; main decides
+the exit code: 0 success, 1 domain error, 2 usage error (from argparse).
 
 Each command handler imports the modules it runs when it first runs, and the
 parser holds no library objects, so starting the program loads only the
@@ -31,13 +32,16 @@ def _frac(x) -> str:
         ) from None
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit_text(lines) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
+def _emit(args, payload, lines=None) -> None:
+    """The text lines, if there are any and --json is not set; else payload as one JSON line."""
+    if lines and not args.json:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    else:
+        sys.stdout.write(_json_line(payload))
 
 
 def _read_file(path: str) -> str:
@@ -60,44 +64,30 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")] if text else []
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     from . import classify
 
     res = getattr(classify, args.classify)(args.orientation, best_effort=args.best_effort)
-    if args.json:
-        _emit_json(res.to_json_dict())
-    else:
-        head = res.input_text
-        if res.flips is not None:
-            head = f"cycle {head} (flips={res.flips})"
-        _emit_text([f"{head}: {res.verdict.value} [{res.rule}]"])
-    return 0
+    head = res.input_text
+    if res.flips is not None:
+        head = f"cycle {head} (flips={res.flips})"
+    _emit(args, res.to_json_dict(), [f"{head}: {res.verdict.value} [{res.rule}]"])
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args) -> None:
+    from dataclasses import asdict
+
     from . import signed
 
     if args.cycle:
         c = signed.cycle_counts(args.orientation)
     else:
         c = signed.path_counts(args.orientation)
-    payload = {
-        "input": args.orientation,
-        "kind": "cycle" if args.cycle else "path",
-        "c_p3": c.c_p3,
-        "c_p5": c.c_p5,
-        "c_2p3": c.c_2p3,
-        "min_k": c.min_k,
-        "c_min_k": c.c_min_k,
-    }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_text([
-            f"C(P3)={c.c_p3} C(P5)={c.c_p5} C(2P3)={c.c_2p3} "
-            f"min_k={c.min_k} C(P_2k+1)={c.c_min_k}"
-        ])
-    return 0
+    payload = {"input": args.orientation, "kind": "cycle" if args.cycle else "path", **asdict(c)}
+    _emit(args, payload, [
+        f"C(P3)={c.c_p3} C(P5)={c.c_p5} C(2P3)={c.c_2p3} "
+        f"min_k={c.min_k} C(P_2k+1)={c.c_min_k}"
+    ])
 
 
 def _load_host(args):
@@ -109,7 +99,7 @@ def _load_host(args):
     return host
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom(args) -> None:
     from . import core, hom
 
     host = _load_host(args)
@@ -130,45 +120,34 @@ def _cmd_hom(args) -> int:
         payload = {"pattern": label, "h": _frac(raw), "t": _frac(dens)}
     else:
         payload = {"pattern": label, "h": raw, "t": dens}
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_text([f"h = {payload['h']}", f"t = {payload['t']}"])
-    return 0
+    _emit(args, payload, [f"h = {payload['h']}", f"t = {payload['t']}"])
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> None:
     from . import spectral
 
     p = spectral.expand_path(args.orientation)
-    if args.json:
-        terms = [
-            {"n_power": z, "s_indices": list(runs), "coeff": _frac(c)}
-            for (z, runs), c in p.terms
-        ]
-        _emit_json({"orientation": args.orientation, "v": p.v, "e": p.e, "terms": terms})
-    else:
-        _emit_text([p.to_text()])
-    return 0
+    terms = [
+        {"n_power": z, "s_indices": list(runs), "coeff": _frac(c)}
+        for (z, runs), c in p.terms
+    ]
+    _emit(args, {"orientation": args.orientation, "v": p.v, "e": p.e, "terms": terms},
+          [p.to_text()])
 
 
-def _cmd_certify_sign(args) -> int:
+def _cmd_certify_sign(args) -> None:
     from . import spectral
 
     p = spectral.expand_path(args.orientation)
     res = spectral.certify_sign(p)
-    if args.json:
-        _emit_json({
-            "orientation": args.orientation,
-            "verdict": res.verdict.value,
-            "trace": list(res.trace),
-        })
-    else:
-        _emit_text([res.verdict.value] + [f"  {line}" for line in res.trace])
-    return 0
+    _emit(args, {
+        "orientation": args.orientation,
+        "verdict": res.verdict.value,
+        "trace": list(res.trace),
+    }, [res.verdict.value] + [f"  {line}" for line in res.trace])
 
 
-def _cmd_kernels(args) -> int:
+def _cmd_kernels(args) -> None:
     from . import construct, hom
 
     k = construct.named_kernel(args.name)
@@ -180,13 +159,9 @@ def _cmd_kernels(args) -> int:
         "t_p5": _frac(hom.t_kernel_path(k.matrix, 4)),
         "t_2p3": _frac(Fraction(hom.t_kernel_path(k.matrix, 2)) ** 2),
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_text([f"{k.name}: n={k.matrix.n}"] +
-                   [" ".join(_frac(x) for x in row) for row in k.matrix.entries] +
-                   [f"t_P3={payload['t_p3']} t_P5={payload['t_p5']} t_2P3={payload['t_2p3']}"])
-    return 0
+    _emit(args, payload, [f"{k.name}: n={k.matrix.n}"] +
+          [" ".join(_frac(x) for x in row) for row in k.matrix.entries] +
+          [f"t_P3={payload['t_p3']} t_P5={payload['t_p5']} t_2P3={payload['t_2p3']}"])
 
 
 def _write_certificate(prefix: str, cert) -> None:
@@ -200,18 +175,17 @@ def _write_certificate(prefix: str, cert) -> None:
         fh.write(construct.certificate_sidecar_json(cert))
 
 
-def _cmd_certificate(args) -> int:
+def _cmd_certificate(args) -> None:
     from . import construct
 
     delta = _parse(Fraction, args.delta, "--delta") if args.delta is not None else Fraction(1, 100)
     cert = construct.certificate(args.name, delta=delta)
     if args.out:
         _write_certificate(args.out, cert)
-    _emit_json(cert.to_json_dict())
-    return 0
+    _emit(args, cert.to_json_dict())
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     from . import core, search
 
     mode = args.mode.upper()
@@ -226,46 +200,38 @@ def _cmd_verify(args) -> int:
     )
     if args.out and report.violation is not None:
         _write_certificate(args.out, report.violation)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        out = [f"pattern {report.pattern_text} mode {mode}: "
-               + ("violation found" if report.violation else "no violation")]
-        if report.violation:
-            out.append(json.dumps(report.violation.to_json_dict(), sort_keys=True))
-        _emit_text(out)
-    return 0
+    out = [f"pattern {report.pattern_text} mode {mode}: "
+           + ("violation found" if report.violation else "no violation")]
+    if report.violation:
+        out.append(json.dumps(report.violation.to_json_dict(), sort_keys=True))
+    _emit(args, report.to_json_dict(), out)
 
 
-def _cmd_orient_tree(args) -> int:
+def _cmd_orient_tree(args) -> None:
     from . import core, trees
 
     t = core.parse_tree_text(_read_file(args.file))
     res = trees.orient_tree_tas(t)
     if res.arcs is None:
-        _emit_json({"provenance": res.provenance, "arcs": None})
-        return 0
+        _emit(args, {"provenance": res.provenance, "arcs": None})
+        return
     payload = {
         "provenance": res.provenance,
         "arcs": [[u, w] for u, w in sorted(res.arcs)],
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_text([core.format_digraph_text(res.as_digraph()).rstrip("\n"),
-                    f"provenance: {res.provenance}"])
-    return 0
+    _emit(args, payload, [core.format_digraph_text(res.as_digraph()).rstrip("\n"),
+                          f"provenance: {res.provenance}"])
 
 
-def _cmd_iso_pair(args) -> int:
+def _cmd_iso_pair(args) -> None:
     from . import core, trees
 
     t = core.parse_tree_text(_read_file(args.file))
     pair = trees.find_isomorphic_pair(t)
     if pair is None:
-        _emit_json({"found": False})
+        _emit(args, {"found": False})
     else:
-        _emit_json({
+        _emit(args, {
             "found": True,
             "v": pair.v,
             "w": pair.w,
@@ -273,10 +239,9 @@ def _cmd_iso_pair(args) -> int:
             "h2": sorted(pair.h2),
             "phi": [[a, b] for a, b in pair.phi],
         })
-    return 0
 
 
-def _cmd_strong_tas(args) -> int:
+def _cmd_strong_tas(args) -> None:
     from . import core, trees
 
     d = core.parse_digraph_text(_read_file(args.file))
@@ -289,11 +254,10 @@ def _cmd_strong_tas(args) -> int:
         ce["adj"] = [list(r) for r in ce["adj"]]
         ce["embedding"] = [list(p) for p in ce["embedding"]]
         payload["counterexample"] = ce
-    _emit_json(payload)
-    return 0
+    _emit(args, payload)
 
 
-def _cmd_lyapunov(args) -> int:
+def _cmd_lyapunov(args) -> None:
     from . import stochastic
 
     beta = _parse(Fraction, args.beta, "--beta") if args.beta is not None else None
@@ -305,15 +269,14 @@ def _cmd_lyapunov(args) -> int:
         sys.stdout.write("batch,steps,lambda_hat\n")
         for i, m in enumerate(est.batch_means):
             sys.stdout.write(f"{i},{batch_len},{m!r}\n")
-        return 0
+        return
     d = est.to_json_dict()
     if d["beta"] is not None:
         d["beta"] = _frac(Fraction(args.beta))
-    _emit_json(d)
-    return 0
+    _emit(args, d)
 
 
-def _cmd_fg(args) -> int:
+def _cmd_fg(args) -> None:
     from . import stochastic
 
     if args.sample:
@@ -333,38 +296,36 @@ def _cmd_fg(args) -> int:
             payload["mean_total"] = _frac(summary.mean_total)
         else:
             payload["mean_total"] = summary.mean_total
-        _emit_json(payload)
-        return 0
+        _emit(args, payload)
+        return
     st = stochastic.fg_process(args.orientation or "")
-    _emit_json({
+    _emit(args, {
         "orientation": args.orientation or "",
         "f": _frac(st.f),
         "g": _frac(st.g),
         "total": _frac(st.total),
         "steps": st.i,
     })
-    return 0
 
 
-def _cmd_localwalk(args) -> int:
+def _cmd_localwalk(args) -> None:
     from . import signed
 
     w = signed.walk_fractions(args.steps)
-    _emit_json({
+    _emit(args, {
         "steps": args.steps,
         "p_zero": _frac(w.p_zero),
         "p_pos": _frac(w.p_pos),
         "p_neg": _frac(w.p_neg),
     })
-    return 0
 
 
-def _cmd_sparse(args) -> int:
+def _cmd_sparse(args) -> None:
     from . import construct
 
     sizes = _parse(_ints, args.parts, "--parts")
     sc = construct.sparse_non_tas(sizes)
-    _emit_json({
+    _emit(args, {
         "m": sc.m,
         "k": sc.k,
         "e": sc.e,
@@ -372,7 +333,6 @@ def _cmd_sparse(args) -> int:
         "edges": [[u, w] for u, w in sc.edges],
         "parts": [list(p) for p in sc.parts],
     })
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,13 +451,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except (ToursidError, OSError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True, separators=(",", ":"),
-        ) + "\n")
+        sys.stderr.write(_json_line({"error": type(exc).__name__, "message": str(exc)}))
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ def kron(a: SkewMatrix, b) -> list[list]:
 def tensor_power(b: SkewMatrix, m: int) -> SkewMatrix:
     """m-fold tensor product of the kernel values; skew only for odd m."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     if b.n**m > TENSOR_SIZE_CAP:
         raise CapExceeded(f"{b.n}^{m} exceeds the tensor size cap")
     if m % 2 == 0:
@@ -87,7 +87,7 @@ def tensor_density(b: SkewMatrix, m: int, pattern: tuple[str, int]):
     elif kind == "cycle":
         base = t_kernel_cycle(b, size)
     else:
-        raise ValueError("pattern kind must be 'path' or 'cycle'")
+        raise InvalidInput("pattern kind must be 'path' or 'cycle'")
     return base**m
 
 
@@ -101,7 +101,7 @@ def ab_construction(a, b) -> SkewMatrix:
     a = float(a)
     bb = float(b)
     if not (0 <= a <= 1) or bb < 0:
-        raise ValueError("need a in [0,1] and b >= 0")
+        raise InvalidInput("need a in [0,1] and b >= 0")
     if 2 * math.sqrt(bb) * (math.sqrt(a) + math.sqrt(1 - a)) >= 0.5:
         raise ValidityConditionViolated("2 sqrt(b) (sqrt(a) + sqrt(1-a)) must be < 1/2")
     v1 = [0.5, 0.5, 0.5, 0.5]

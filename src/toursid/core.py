@@ -37,7 +37,7 @@ class Orientation:
         if len(self.dirs) < 1:
             raise EmptyInput("orientation needs at least one edge")
         if any(d not in (FORWARD, BACKWARD) for d in self.dirs):
-            raise ValueError("directions must be +1 or -1")
+            raise InvalidInput("directions must be +1 or -1")
 
     @property
     def e(self) -> int:
@@ -107,7 +107,7 @@ class OrientedCycle:
     def subdivided(self, k: int) -> "OrientedCycle":
         """Replace each edge by k edges in the same direction."""
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvalidInput("k must be >= 1")
         dirs = tuple(d for d in self.orientation.dirs for _ in range(k))
         return OrientedCycle(Orientation(dirs))
 
@@ -170,7 +170,7 @@ def directed_path_digraph(edges: int) -> Digraph:
 def subdivide(d: Digraph, k: int) -> Digraph:
     """Replace each arc by a k-edge directed path through k-1 fresh vertices."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidInput("k must be >= 1")
     if k == 1:
         return d
     arcs = []

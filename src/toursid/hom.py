@@ -33,12 +33,13 @@ Evaluators:
                  hom_cycle applies it to an oriented cycle.
 * hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T} on one
                  host's scaled rows, for `hom --pattern-path` and construct;
-                 tests check the kernel against it.  _chain returns its row
+                 the independent oracle for path certificates, and tests
+                 check the kernel against it.  _chain returns its row
                  vectors after each factor; the signed moments 1^T B^k 1 read
                  the same vectors.
 * hom_generic -- a blocked numpy brute force over all n^v maps on the
                  scaled rows, its own guard, no kernel code: the independent
-                 oracle for certificates and tests.
+                 oracle for other digraphs' certificates and for tests.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
                  kernel; cycle densities normalize by n^length (the vertex
                  count), path densities by n^(edges+1).
@@ -56,7 +57,7 @@ from string import ascii_letters
 import numpy as np
 
 from .core import Digraph, as_orientation, cycle_digraph
-from .errors import CapExceeded, TooShort
+from .errors import CapExceeded, InvalidInput, TooShort
 from .tournament import SkewMatrix, Tournament, WeightedTournament, _is_exact
 
 GENERIC_CAP = 10**9
@@ -377,8 +378,9 @@ def hom_count(d: Digraph, host) -> HomCount:
     n, rows = host_entries(host)
     s = _scale(rows)
     if s.exact:
-        m = max(abs(x) for row in s.rows for x in row)
-        a = np.array(s.rows, dtype=np.int64 if fits_int64(n, d.v, d.e, m) else object)
+        a = np.array(s.rows)  # int64 when every entry fits; contract guards the counts
+        if a.dtype.kind == "f":  # numpy makes ints past int64 mixed with smaller ones float
+            a = np.array(s.rows, dtype=object)
     else:
         a = np.array(rows, dtype=float)
     return HomCount(s.unscale(contract(d, a).item(), d.e), n, d.v)
@@ -403,7 +405,7 @@ def s_moments_up_to(b: SkewMatrix, top: int) -> dict[int, object]:
 def t_kernel_path(b: SkewMatrix, edges: int):
     """Signed density 1^T B^edges 1 / n^(edges+1); exactly 0 for odd edges."""
     if edges < 1:
-        raise ValueError("need at least one edge")
+        raise InvalidInput("need at least one edge")
     zero = Fraction(0) if b.is_exact else 0.0
     if edges % 2 == 1:
         return zero

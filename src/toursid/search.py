@@ -21,8 +21,14 @@ import numpy as np
 
 from .construct import Certificate, CertDirection, named_kernel, certificate as known_certificate
 from .core import Digraph, Orientation, as_orientation, path_digraph
-from .errors import CapExceeded, InternalAssertionFailed, InvalidHost, PreconditionViolated
-from .hom import contract, contract_grad, hom_count, hom_generic
+from .errors import (
+    CapExceeded,
+    InternalAssertionFailed,
+    InvalidHost,
+    InvalidInput,
+    PreconditionViolated,
+)
+from .hom import contract, contract_grad, hom_count, hom_generic, hom_path
 from .tournament import (
     ENUMERATION_CAP,
     Tournament,
@@ -80,9 +86,14 @@ def _violates(mode: str, value: Fraction, threshold: Fraction) -> bool:
 
 
 def certify(pattern, host: WeightedTournament, mode: str) -> Certificate | None:
-    """Exact strict comparison against n^v/2^e; None when no violation."""
+    """Exact strict comparison against n^v/2^e; None when no violation.
+
+    A violation is rechecked on an evaluator that shares no code with the
+    kernel: hom_path's exact chain for an orientation pattern, which has no
+    n^v cap, and hom_generic for any other digraph.
+    """
     if mode not in (MODE_TAS, MODE_TS):
-        raise ValueError("mode must be 'TAS' or 'TS'")
+        raise InvalidInput("mode must be 'TAS' or 'TS'")
     if not host.is_exact:
         raise InvalidHost("certification requires an exact-rational host")
     d, _, o = _pattern_meta(pattern)
@@ -90,7 +101,8 @@ def certify(pattern, host: WeightedTournament, mode: str) -> Certificate | None:
     threshold = Fraction(host.n**d.v, 2**d.e)
     if not _violates(mode, value, threshold):
         return None
-    if Fraction(hom_generic(d, host).raw) != value:
+    recheck = hom_path(o, host) if o is not None else hom_generic(d, host)
+    if Fraction(recheck.raw) != value:
         raise InternalAssertionFailed("certificate value failed independent re-verification")
     direction = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
     return Certificate(host, o, direction, threshold, value)
@@ -192,7 +204,7 @@ def optimize_density(
     if restarts > OPTIMIZER_BUDGET_CAP:
         raise CapExceeded(f"optimizer budget capped at {OPTIMIZER_BUDGET_CAP} restarts")
     if objective not in ("maximize", "minimize"):
-        raise ValueError("objective must be 'maximize' or 'minimize'")
+        raise InvalidInput("objective must be 'maximize' or 'minimize'")
     d, _, _ = _pattern_meta(pattern)
     sign = 1.0 if objective == "maximize" else -1.0
     improves = np.greater if objective == "maximize" else np.less
@@ -269,11 +281,12 @@ def refute(
     in int64 under the kernel's overflow guard, so it yields 2^e h exactly,
     to be compared with n^v.  At the first n with a strict violation, the
     lowest-index violating host is rebuilt and passed to certify, which
-    rechecks it on hom_generic.  budget counts optimizer restarts,
-    at most OPTIMIZER_BUDGET_CAP; 0 skips stage 2.
+    rechecks it independently.  budget counts optimizer restarts,
+    at most OPTIMIZER_BUDGET_CAP; 0 skips stage 2.  optimizer_n, when
+    given, is the optimizer's host size, 2 <= optimizer_n <= OPTIMIZER_N_CAP.
     """
     if mode not in (MODE_TAS, MODE_TS):
-        raise ValueError("mode must be 'TAS' or 'TS'")
+        raise InvalidInput("mode must be 'TAS' or 'TS'")
     if n_max < 1:
         raise PreconditionViolated("the exhaustive stage needs n_max >= 1")
     if budget < 0:
@@ -282,6 +295,10 @@ def refute(
         raise CapExceeded(f"optimizer budget capped at {OPTIMIZER_BUDGET_CAP} restarts")
     if n_max > ENUMERATION_CAP:
         raise CapExceeded(f"exhaustive stage capped at n <= {ENUMERATION_CAP}")
+    if optimizer_n is not None and optimizer_n < 2:
+        raise PreconditionViolated("the optimizer needs optimizer_n >= 2")
+    if optimizer_n is not None and optimizer_n > OPTIMIZER_N_CAP:
+        raise CapExceeded(f"optimizer capped at n <= {OPTIMIZER_N_CAP}")
     d, text, o = _pattern_meta(pattern)
     samples = 0
     for n in range(1, n_max + 1):

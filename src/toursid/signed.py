@@ -89,7 +89,7 @@ def _pattern_paths(q: Digraph) -> list[list[int]]:
             seen |= comp
             seq = _path_order(adj, comp)
             if seq is None:
-                raise ValueError("pattern components must be paths")
+                raise InvalidInput("pattern components must be paths")
             comps.append(seq)
     return comps
 

@@ -31,7 +31,13 @@ from functools import lru_cache
 import numpy as np
 
 from .core import as_orientation
-from .errors import CapExceeded, ConvergenceFailure, EntryRangeViolated, InternalAssertionFailed
+from .errors import (
+    CapExceeded,
+    ConvergenceFailure,
+    EntryRangeViolated,
+    InternalAssertionFailed,
+    InvalidInput,
+)
 from .hom import s_moment, s_moments_up_to
 from .tournament import SkewMatrix
 
@@ -78,7 +84,7 @@ def eigenvalues(b: SkewMatrix) -> Spectrum:
 def x_moment(b: SkewMatrix, t: int):
     """X_2t = |1^T B^(2t) 1|, with the bookkeeping convention X_0 = n."""
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise InvalidInput("t must be >= 0")
     if t == 0:
         return Fraction(b.n) if b.is_exact else float(b.n)
     return abs(s_moment(b, 2 * t))
@@ -112,7 +118,7 @@ def check_x_lemma(b: SkewMatrix, s: int, t: int) -> XLemmaReport:
     (iii) the spectral-radius bound; (iv) the Cauchy-Schwarz bound.
     """
     if not (s >= t >= 0):
-        raise ValueError("need s >= t >= 0")
+        raise InvalidInput("need s >= t >= 0")
     half = Fraction(1, 2) if b.is_exact else 0.5 + 1e-15
     if b.max_abs() > half:
         raise EntryRangeViolated("entries must lie in [-1/2, 1/2]")

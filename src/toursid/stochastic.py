@@ -131,6 +131,8 @@ def resolve_beta_star(max_edges: int = 12) -> Fraction:
     """
     from itertools import product as iproduct
 
+    if max_edges < 2:
+        raise InvalidInput("max_edges must be >= 2")
     ratios = set()
     for e in range(2, max_edges + 1):
         for dirs in iproduct((1, -1), repeat=e):

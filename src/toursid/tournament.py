@@ -189,7 +189,7 @@ def _orient(n: int, forward) -> Tournament:
     """Arc i -> j where forward(i, j) holds and j -> i otherwise, asked once
     per pair i < j, row by row."""
     if n < 1:
-        raise ValueError("need at least one vertex")
+        raise InvalidInput("need at least one vertex")
     adj = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -234,9 +234,9 @@ def blowup(t: Tournament, part_sizes, inner: str = "transitive", seed: int = 0) 
     if len(part_sizes) != t.n:
         raise SizeMismatch(f"need {t.n} part sizes, got {len(part_sizes)}")
     if inner not in ("transitive", "random"):
-        raise ValueError("inner rule must be 'transitive' or 'random'")
+        raise InvalidInput("inner rule must be 'transitive' or 'random'")
     if any(s < 1 for s in part_sizes):
-        raise ValueError("part sizes must be positive")
+        raise InvalidInput("part sizes must be positive")
     rng = random.Random(seed)
     part_of = [k for k, s in enumerate(part_sizes) for _ in range(s)]
     return _orient(len(part_of), lambda i, j: (

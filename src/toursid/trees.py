@@ -56,7 +56,7 @@ class TreeOrientation:
 
     def as_digraph(self) -> Digraph:
         if self.arcs is None:
-            raise ValueError("no orientation available (provenance Unknown)")
+            raise InvalidInput("no orientation available (provenance Unknown)")
         return digraph(self.tree.v, self.arcs)
 
 
@@ -75,7 +75,7 @@ class IsoPair:
 def is_caterpillar(t: Tree) -> tuple[bool, list[int]]:
     """True plus the spine (vertices left after removing all leaves)."""
     if t.v < 2:
-        raise ValueError("need at least two vertices")
+        raise InvalidInput("need at least two vertices")
     adj = t.adjacency()
     spine = _path_order(adj, {x for x in range(t.v) if len(adj[x]) != 1})
     return (False, []) if spine is None else (True, spine)
@@ -357,7 +357,7 @@ def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:
 def glued_pair_digraph(h: Digraph, w: int) -> tuple[Digraph, int, int]:
     """D = H + copy of H + fresh v with arcs w -> v -> w'; returns (D, v, w')."""
     if not (0 <= w < h.v):
-        raise ValueError("w must be a vertex of h")
+        raise InvalidInput("w must be a vertex of h")
     v_new, w_prime = 2 * h.v, w + h.v
     arcs = disjoint_union(h, h).arcs | {(w, v_new), (v_new, w_prime)}
     return digraph(v_new + 1, arcs), v_new, w_prime

@@ -571,6 +571,12 @@ GOLDEN_SCANS = [
      '{"h":"284748713/12500000","pattern":"digraph v=6","t":"284748713/9112500000"}\n'),
     (["hom", "--pattern-file", "cycle5.dg", "--host-file", "host.wt", "--json"],
      '{"h":"151859901/20000000","pattern":"digraph v=5","t":"50619967/1620000000"}\n'),
+    # 6^12 maps: this violation is rechecked on the exact chain, past the
+    # generic evaluator's cap
+    (["verify", "--mode", "tas", "--pattern", "<<<<<><<><>", "--max-n", "6", "--json"],
+     '{"mode":"TAS","n_checked":6,"pattern":"<<<<<><<><>","samples":33867,'
+     '"violation":{"direction":"ViolatesTAS","pattern":"<<<<<><<><>",'
+     '"threshold":"1062882/1","value":"272438103/256"}}\n'),
 ]
 
 
@@ -594,6 +600,11 @@ GOLDEN_COMMANDS = [
      'C(P3)=-1 C(P5)=-5 C(2P3)=3 min_k=3 C(P_2k+1)=3\n'),
     (["expand", "><<<"],
      '(1/16)*n^5*S2^0*S4^0 + (1/4)*n^2*S2^1*S4^0 + (-1/1)*n^0*S2^0*S4^1\n'),
+    # the JSON form of the line above, recorded before one emitter served both
+    (["expand", "><<<", "--json"],
+     '{"e":4,"orientation":"><<<","terms":[{"coeff":"-1/1","n_power":0,"s_indices":[4]},'
+     '{"coeff":"1/4","n_power":2,"s_indices":[2]},{"coeff":"1/16","n_power":5,"s_indices":[]}],'
+     '"v":5}\n'),
     (["certify-sign", ">><<", "--json"],
      '{"orientation":">><<","trace":["bound (1)*n^0*X4 by (1/4)*n^2*X2 and can'
      'cel","all positive monomials absorbed; residual <= 0"],"verdict":"Certif'

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from toursid.construct import named_kernel, tensor_power
 from toursid.core import (
     Orientation,
     _neighbours,
@@ -22,6 +25,24 @@ from toursid.core import (
     tree,
 )
 from toursid.errors import EmptyInput, InvalidCharacter, InvalidInput, OddLength, TooShort
+from toursid.stochastic import resolve_beta_star
+from toursid.tournament import blowup, random_tournament, transitive
+from toursid.trees import amgm_check
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: random_tournament(-1, 0), "need at least one vertex"),
+    (lambda: blowup(transitive(2), [0, 1]), "part sizes must be positive"),
+    (lambda: tensor_power(named_kernel("B1").matrix, 0), "m must be >= 1"),
+    (lambda: subdivide(digraph(2, [(0, 1)]), 0), "k must be >= 1"),
+    (lambda: amgm_check(digraph(2, [(0, 1)]), 99, 3), "w must be a vertex of h"),
+    (lambda: resolve_beta_star(0), "max_edges must be >= 2"),
+], ids=["random_tournament", "blowup", "tensor_power", "subdivide", "amgm_check",
+        "resolve_beta_star"])
+def test_guarded_preconditions_raise_invalid_input(call, message):
+    # errors.py: no guarded precondition raises a bare ValueError
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_parse_single_edge():

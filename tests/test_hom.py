@@ -28,6 +28,7 @@ from toursid.hom import (
     t_kernel_path,
 )
 from toursid.tournament import (
+    WeightedTournament,
     random_tournament,
     skew,
     skew_decompose,
@@ -478,6 +479,17 @@ def test_kernel_takes_object_ints_past_the_guard():
         assert counts.tolist() == [hom_generic(d, host.tolist()).raw for host in stack]
         assert counts[0] == 2 ** (d.v + d.e)
         assert type(hom_count(d, stack[0].tolist()).raw) is int
+
+
+def test_hom_count_is_exact_on_scaled_entries_past_int64():
+    # scaled by 2^64 the entries are 1, 2^63 and 2^64 - 1: numpy alone would
+    # store them as float64, which loses the count
+    tiny = Fraction(1, 2**64)
+    host = WeightedTournament(2, ((Fraction(1, 2), tiny), (1 - tiny, Fraction(1, 2))))
+    for o in (">><", "><>>"):
+        d = path_digraph(parse_orientation(o))
+        got = hom_count(d, host).raw
+        assert type(got) is Fraction and got == hom_generic(d, host).raw == hom_path(o, host).raw
 
 
 def test_numpy_integer_hosts_count_exactly_in_python_ints():

@@ -8,7 +8,7 @@ from test_tournament import stack_tournaments
 from toursid.construct import CertDirection, certificate
 from toursid.core import Orientation, cycle_digraph, digraph, path_digraph
 from toursid.errors import CapExceeded, InvalidHost, PreconditionViolated
-from toursid.hom import contract, contract_grad, hom_generic
+from toursid.hom import contract, contract_grad, hom_generic, hom_path
 from toursid.search import (
     MODE_TAS,
     MODE_TS,
@@ -260,6 +260,32 @@ def test_optimizer_verdicts_on_short_paths_are_pinned():
                     if rep.violation is not None:
                         got["".join(dirs), mode, n] = rep.violation.value
     assert got == PINNED_VIOLATIONS
+
+
+def test_optimizer_certificates_past_the_generic_cap():
+    # 8^11 maps on an 8-vertex host: a recheck on hom_generic raised CapExceeded
+    ts = refute("<<<>><>><>", MODE_TS, n_max=1, budget=32, seed=1, optimizer_n=8).violation
+    tas = refute("<<>><<<>><", MODE_TAS, n_max=1, budget=32, seed=1, optimizer_n=8).violation
+    assert (ts.direction, tas.direction) == (CertDirection.VIOLATES_TS, CertDirection.VIOLATES_TAS)
+    assert ts.threshold == tas.threshold == 2**23
+    assert ts.value == F(1071918557, 128) < 2**23 < tas.value
+    for cert in (ts, tas):
+        assert cert.host.n == 8 and cert.value == hom_path(cert.pattern, cert.host).raw
+
+
+@pytest.mark.parametrize("optimizer_n,error", [
+    (0, PreconditionViolated), (1, PreconditionViolated), (-3, PreconditionViolated),
+    (13, CapExceeded),
+])
+def test_optimizer_n_is_checked_before_the_scan(optimizer_n, error, monkeypatch):
+    from toursid import search
+
+    def never(d, a):
+        raise AssertionError("contract ran")
+
+    monkeypatch.setattr(search, "contract", never)
+    with pytest.raises(error, match="optimizer"):
+        refute(">><<", MODE_TAS, n_max=2, budget=2, seed=0, optimizer_n=optimizer_n)
 
 
 def test_budget_past_the_cap_raises_before_any_kernel_call(monkeypatch):
