@@ -30,19 +30,16 @@ Evaluators:
                  through the same plan, for the optimizer's gradient; float
                  and object stacks, integer stacks as object ints.
 * hom_count   -- contract on one host's scaled rows, as a HomCount;
-                 hom_cycle applies it to an oriented cycle.
-* hom_path    -- the chain 1^T M_1 ... M_e 1 with M_i in {A, A^T} on one
-                 host's scaled rows, for `hom --pattern-path` and construct;
-                 the independent oracle for path certificates, and tests
-                 check the kernel against it.  _chain returns its row
-                 vectors after each factor; the signed moments 1^T B^k 1 read
-                 the same vectors.
-* hom_generic -- a blocked numpy brute force over all n^v maps on the
-                 scaled rows, its own guard, no kernel code: the independent
-                 oracle for other digraphs' certificates and for tests.
+                 hom_path and hom_cycle apply it to an oriented path or
+                 cycle.
+* hom_generic -- an exact frontier sum over the scaled rows that shares no
+                 code with the kernel: the independent oracle that rechecks
+                 every certificate, and that the tests check the kernel
+                 against.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
-                 kernel; cycle densities normalize by n^length (the vertex
-                 count), path densities by n^(edges+1).
+                 kernel, from _chain's row vectors 1^T B^k; cycle densities
+                 normalize by n^length (the vertex count), path densities
+                 by n^(edges+1).
 """
 
 from __future__ import annotations
@@ -50,18 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm
 from string import ascii_letters
 
 import numpy as np
 
-from .core import Digraph, as_orientation, cycle_digraph
+from .core import Digraph, cycle_digraph, path_digraph
 from .errors import CapExceeded, InvalidInput, TooShort
 from .tournament import SkewMatrix, Tournament, WeightedTournament, _is_exact
 
-GENERIC_CAP = 10**9
-GENERIC_BLOCK = 4096  # hom_generic's maps per numpy block
+GENERIC_CAP = 10**7  # hom_generic's steps, 2-3 s on a cycle
 INT64_LIMIT = 2**63
 
 
@@ -72,6 +67,8 @@ def host_entries(host) -> tuple[int, list[list]]:
     if isinstance(host, (WeightedTournament, SkewMatrix)):
         return host.n, host.rows()
     rows = [list(r) for r in host]
+    if not rows:
+        raise InvalidInput("need at least one vertex")
     return len(rows), rows
 
 
@@ -127,83 +124,79 @@ def fits_int64(n: int, v: int, e: int, m: int) -> bool:
 
 
 def hom_generic(d: Digraph, host) -> HomCount:
-    """Brute-force sum over all |V(host)|^v(d) maps, a block of maps at a time.
+    """h_D by a frontier sum, an oracle that shares no code with contract.
 
-    The last k pattern vertices (the tail) take their images from one block
-    of at most GENERIC_BLOCK maps, in itertools.product order; the head
-    vertices before them run through itertools.product.  The arcs inside the
-    tail are multiplied once over the block, the arcs inside the head give
-    one number per head map (a zero skips the block), and the arcs between
-    head and tail are multiplied into the block for each head map.
-
-    Integer rows run in int64 under this function's own guard: every
-    product and block sum is at most n^v * max(|entry|, 1)^e in absolute
-    value, so int64 is exact when that is below 2^63; past it the rows run
-    as object ints.  Float rows run in float64.  Nothing here is shared with
-    contract, so a fault in the kernel or its guard cannot hide in both.
+    The pattern's vertices are placed in _frontier_steps' order; the
+    frontier is the placed vertices with an arc to an unplaced one.  A dict
+    maps each image of the frontier to the sum of the arc products of the
+    placed vertices' maps that extend it.  Placing x multiplies in x's arcs
+    to the frontier for each image of x, then sums out the vertices that
+    leave it (the width-bounded counting of Diaz, Serna and Thilikos).
+    With w the widest frontier, that is at most v * n^(w+1) steps of one
+    entry and one image, which GENERIC_CAP bounds.  Exact rows run as
+    _scale's Python ints, float rows as floats; the table starts at the int
+    1, so an arc-free pattern counts n^v as an int.
     """
     n, rows = host_entries(host)
-    v, arcs = d.v, sorted(d.arcs)
-    if n**v > GENERIC_CAP:
-        raise CapExceeded(f"{n}^{v} maps exceed the generic cap")
+    width, steps = _frontier_steps(tuple(d.arcs), d.v)
+    if d.v * n ** (width + 1) > GENERIC_CAP:
+        raise CapExceeded(f"{d.v}*{n}^{width + 1} frontier steps exceed the generic cap")
     s = _scale(rows)
-    if not arcs or not n:
-        return HomCount(n**v, n, v)  # every map's product is the empty one, the int 1
-    if s.exact:
-        m = max(abs(x) for row in s.rows for x in row)
-        a = np.array(s.rows, dtype=np.int64 if n**v * max(m, 1) ** len(arcs) < 2**63 else object)
-        num = int
-    else:
-        a = np.array(rows, dtype=float)
-        num = float
-    k = 1
-    while k < v and n ** (k + 1) <= GENERIC_BLOCK:
-        k += 1
-    h = v - k
-    # row j holds the images of tail vertex h + j: digit j, base n, of the
-    # block index, most significant first
-    tail = np.arange(n**k) // n ** np.arange(k - 1, -1, -1)[:, None] % n
-    inner = [(u, w) for u, w in arcs if u < h and w < h]
-    across = [(u, w) for u, w in arcs if (u < h) != (w < h)]
-    block = np.ones(n**k, dtype=a.dtype)
-    for u, w in arcs:
-        if u >= h and w >= h:
-            block = block * a[tail[u - h], tail[w - h]]
-    total = num(0)
-    for phi in product(range(n), repeat=h):
-        c = 1
-        for u, w in inner:
-            c = c * a[phi[u], phi[w]]
-        if not c:
-            continue
-        p = block
-        for u, w in across:
-            p = p * (a[phi[u], tail[w - h]] if u < h else a[tail[u - h], phi[w]])
-        total += num(c) * num(p.sum())
-    return HomCount(s.unscale(total, len(arcs)), n, v)
+    a, at = s.rows, [list(col) for col in zip(*s.rows)]
+    table = {(): 1}
+    for to_x, keep, stays in steps:
+        new = {}
+        for key, val in table.items():
+            vec = [val] * n
+            for j, out in to_x:
+                vec = [p * q for p, q in zip(vec, (a if out else at)[key[j]])]
+            base = tuple(key[j] for j in keep)
+            for i, p in enumerate(vec):
+                k = base + (i,) if stays else base
+                new[k] = new.get(k, 0) + p
+        table = new
+    return HomCount(s.unscale(table[()], d.e), n, d.v)
 
 
-def _chain(a, n: int, dirs) -> list[list]:
-    """The row vectors 1^T M_1 ... M_k for k = 0..len(dirs).
+@lru_cache(maxsize=512)
+def _frontier_steps(arcs: tuple, v: int) -> tuple[int, tuple]:
+    """hom_generic's placements, worked out once per pattern.
 
-    M_i is A when dirs[i-1] > 0 and A^T otherwise.
+    The next vertex has the most placed neighbours, then the lowest index,
+    so a naturally labelled path or cycle is placed in order.  Returns the
+    widest frontier before a placement and, per placed x, x's arcs to the
+    frontier as (position, the arc leaves it), the positions of the
+    frontier vertices that keep an unplaced neighbour and whether x has one.
     """
+    nbrs = [set() for _ in range(v)]
+    for u, w in arcs:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    placed, frontier, steps, width = set(), [], [], 0
+    while len(placed) < v:
+        x = min(set(range(v)) - placed, key=lambda y: (-len(nbrs[y] & placed), y))
+        width = max(width, len(frontier))
+        placed.add(x)
+        to_x = tuple((j, (f, x) in arcs) for j, f in enumerate(frontier) if f in nbrs[x])
+        keep = tuple(j for j, f in enumerate(frontier) if nbrs[f] - placed)
+        stays = bool(nbrs[x] - placed)
+        frontier = [frontier[j] for j in keep] + [x] * stays
+        steps.append((to_x, keep, stays))
+    return width, tuple(steps)
+
+
+def _chain(a, n: int, k: int) -> list[list]:
+    """The row vectors 1^T A^j for j = 0..k."""
     vecs = [[1] * n]
-    for d in dirs:
+    for _ in range(k):
         vec = vecs[-1]
-        if d > 0:
-            vecs.append([sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)])
-        else:
-            vecs.append([sum(vec[i] * a[j][i] for i in range(n)) for j in range(n)])
+        vecs.append([sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)])
     return vecs
 
 
 def hom_path(o, host) -> HomCount:
-    """1^T M_1 ... M_e 1 where M_i = A for forward edges and A^T for backward."""
-    o = as_orientation(o)
-    n, rows = host_entries(host)
-    s = _scale(rows)
-    return HomCount(s.unscale(sum(_chain(s.rows, n, o.dirs)[-1]), o.e), n, o.v)
+    """h of an oriented path, through the kernel."""
+    return hom_count(path_digraph(o), host)
 
 
 def contract(d: Digraph, a):
@@ -399,7 +392,7 @@ def s_moment(b: SkewMatrix, power: int):
 def s_moments_up_to(b: SkewMatrix, top: int) -> dict[int, object]:
     """All signed moments 1^T B^k 1 for 0 <= k <= top, one vector pass."""
     s = _scale(b.entries)
-    return {k: s.unscale(sum(vec), k) for k, vec in enumerate(_chain(s.rows, b.n, (1,) * top))}
+    return {k: s.unscale(sum(vec), k) for k, vec in enumerate(_chain(s.rows, b.n, top))}
 
 
 def t_kernel_path(b: SkewMatrix, edges: int):

@@ -28,7 +28,7 @@ from .errors import (
     InvalidInput,
     PreconditionViolated,
 )
-from .hom import contract, contract_grad, hom_count, hom_generic, hom_path
+from .hom import contract, contract_grad, hom_count, hom_generic
 from .tournament import (
     ENUMERATION_CAP,
     Tournament,
@@ -88,9 +88,8 @@ def _violates(mode: str, value: Fraction, threshold: Fraction) -> bool:
 def certify(pattern, host: WeightedTournament, mode: str) -> Certificate | None:
     """Exact strict comparison against n^v/2^e; None when no violation.
 
-    A violation is rechecked on an evaluator that shares no code with the
-    kernel: hom_path's exact chain for an orientation pattern, which has no
-    n^v cap, and hom_generic for any other digraph.
+    A violation is rechecked on hom_generic's frontier sum, which shares no
+    code with the kernel.
     """
     if mode not in (MODE_TAS, MODE_TS):
         raise InvalidInput("mode must be 'TAS' or 'TS'")
@@ -101,8 +100,7 @@ def certify(pattern, host: WeightedTournament, mode: str) -> Certificate | None:
     threshold = Fraction(host.n**d.v, 2**d.e)
     if not _violates(mode, value, threshold):
         return None
-    recheck = hom_path(o, host) if o is not None else hom_generic(d, host)
-    if Fraction(recheck.raw) != value:
+    if Fraction(hom_generic(d, host).raw) != value:
         raise InternalAssertionFailed("certificate value failed independent re-verification")
     direction = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
     return Certificate(host, o, direction, threshold, value)

@@ -500,6 +500,8 @@ GOLDEN_FILES = {
     "anchored.dg": "digraph v=3\n0 1\n2 1\n",
     "arc.dg": "digraph v=2\n0 1\n",
     "out-star.dg": "digraph v=3\n0 1\n0 2\n",
+    # cycle_digraph("<<<<<<<><><>")
+    "c12.dg": "digraph v=12\n1 0\n2 1\n3 2\n4 3\n5 4\n6 5\n7 6\n7 8\n9 8\n9 10\n11 0\n11 10\n",
 }
 
 GOLDEN_SCANS = [
@@ -571,12 +573,16 @@ GOLDEN_SCANS = [
      '{"h":"284748713/12500000","pattern":"digraph v=6","t":"284748713/9112500000"}\n'),
     (["hom", "--pattern-file", "cycle5.dg", "--host-file", "host.wt", "--json"],
      '{"h":"151859901/20000000","pattern":"digraph v=5","t":"50619967/1620000000"}\n'),
-    # 6^12 maps: this violation is rechecked on the exact chain, past the
-    # generic evaluator's cap
+    # 6^12 maps each: the frontier sum rechecks the 11-edge path and the
+    # 12-cycle in at most 12 * 6^3 steps
     (["verify", "--mode", "tas", "--pattern", "<<<<<><<><>", "--max-n", "6", "--json"],
      '{"mode":"TAS","n_checked":6,"pattern":"<<<<<><<><>","samples":33867,'
      '"violation":{"direction":"ViolatesTAS","pattern":"<<<<<><<><>",'
      '"threshold":"1062882/1","value":"272438103/256"}}\n'),
+    (["verify", "--mode", "tas", "--pattern-file", "c12.dg", "--max-n", "6", "--json"],
+     '{"mode":"TAS","n_checked":6,"pattern":"digraph(v=12,e=12)","samples":33867,'
+     '"violation":{"direction":"ViolatesTAS","pattern":null,'
+     '"threshold":"531441/1","value":"1100808645/2048"}}\n'),
 ]
 
 

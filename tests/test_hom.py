@@ -15,8 +15,10 @@ from toursid.core import (
     path_digraph,
 )
 from toursid.construct import named_kernel
-from toursid.errors import CapExceeded
+from toursid.errors import CapExceeded, InvalidInput
 from toursid.hom import (
+    GENERIC_CAP,
+    _frontier_steps,
     _plan,
     contract,
     contract_grad,
@@ -64,11 +66,18 @@ def test_all_half_matrix_density():
 
 
 def test_generic_cap():
+    # the cap bounds the v * n^(w+1) steps of the widest frontier w
+    from itertools import combinations
+
+    wide = digraph(10, list(combinations(range(10), 2)))  # w = 9: 10 * 6^10 steps
+    assert _frontier_steps(tuple(wide.arcs), 10)[0] == 9 and 10 * 6**10 > GENERIC_CAP
     with pytest.raises(CapExceeded):
-        hom_generic(digraph(20, []), with_half_loops(transitive(3)))
-    with pytest.raises(CapExceeded):  # 2^30 > 10^9 >= 2^29
-        hom_generic(digraph(30, []), K2_HOST)
-    assert hom_generic(digraph(29, []), K2_HOST).raw == 2**29
+        hom_generic(wide, with_half_loops(transitive(6)))
+    assert hom_generic(digraph(30, []), K2_HOST).raw == 2**30  # w = 0
+    c12 = cycle_digraph("<<<<<<<><><>")  # 6^12 maps, 12 * 6^3 steps
+    for seed in (1, 2):
+        host = with_half_loops(random_tournament(6, seed=seed))
+        assert hom_generic(c12, host).raw == hom_count(c12, host).raw
 
 
 def test_hom_path_forward_closed_form():
@@ -194,9 +203,8 @@ def half_loop_stack(n):
 
 
 def test_path_evaluators_agree_e6_n4():
-    # hom_path (factor products) vs the contraction kernel are independent
-    # exact routes; exhaustive agreement for e <= 6 over every host n <= 4,
-    # with the brute-force map sum as a third route at n <= 3
+    # the contraction kernel, through contract and hom_path, against the
+    # frontier sum: exhaustive agreement for e <= 6 over every host n <= 4
     hosts_small = [[with_half_loops(t) for t in stack_tournaments(n)] for n in (1, 2, 3)]
     hosts_four = [with_half_loops(t) for t in stack_tournaments(4)]
     stacks = {n: half_loop_stack(n) for n in (1, 2, 3, 4)}
@@ -208,7 +216,7 @@ def test_path_evaluators_agree_e6_n4():
                 expected = [hom_generic(d, host).raw for host in hosts]
                 assert [hom_path(o, host).raw for host in hosts] == expected
                 assert list(contract(d, stacks[n])) == expected
-            assert list(contract(d, stacks[4])) == [hom_path(o, h).raw for h in hosts_four]
+            assert list(contract(d, stacks[4])) == [hom_generic(d, h).raw for h in hosts_four]
 
 
 def test_cycle_evaluator_agrees_with_bruteforce():
@@ -257,7 +265,7 @@ def test_contract_long_path_past_einsum_letters():
     d = path_digraph(o)
     stack = half_loop_stack(3)
     hosts = [with_half_loops(t) for t in stack_tournaments(3)]
-    assert list(contract(d, stack)) == [hom_path(o, h).raw for h in hosts]
+    assert list(contract(d, stack)) == [hom_generic(d, h).raw for h in hosts]
 
 
 def test_contract_wide_star_merges_its_leaf_factors():
@@ -317,10 +325,19 @@ def test_hom_count_matches_oracle_on_weighted_and_skew_hosts():
     assert hom_count(d, b.to_float()).raw == pytest.approx(float(hom_generic(d, b).raw))
 
 
+def test_an_empty_raw_host_is_invalid_input():
+    # host objects refuse n = 0 when built; raw rows are refused on reading
+    d = path_digraph(">")
+    for count in (lambda: hom_count(d, []), lambda: hom_generic(d, []),
+                  lambda: hom_path(">", [])):
+        with pytest.raises(InvalidInput, match="need at least one vertex"):
+            count()
+
+
 def map_loop(d, rows):
     """The brute-force map sum, one map at a time in pure Python, over the
-    host's own entries, unscaled: the reference the blocked, integer-scaled
-    hom_generic must reproduce in value and type."""
+    host's own entries, unscaled: the reference the integer-scaled frontier
+    sum hom_generic must reproduce in value and type."""
     n = len(rows)
     arcs = sorted(d.arcs)
     total = 0
@@ -378,17 +395,15 @@ def test_scaled_generic_matches_the_fraction_reference():
             assert got == want and type(got) is type(want) is Fraction
 
 
-def test_blocked_generic_matches_the_map_loop():
-    # value and type against the one-map-at-a-time loop, on every path the
-    # blocks can take: int64 rows, object ints past the guard, Fractions,
-    # floats, one vertex, no arcs, n = 1, and patterns spanning many blocks
+def test_generic_matches_the_map_loop():
+    # value and type against the one-map-at-a-time loop: int rows, object
+    # ints past 2^63, Fractions, floats, one vertex, no arcs, n = 1, and
+    # patterns whose frontier drops and regains vertices
     from itertools import combinations
 
-    from toursid.hom import GENERIC_BLOCK, host_entries
+    from toursid.hom import host_entries
 
     rng = np.random.default_rng(8)
-    # arcs inside the head, inside the tail and across both ways once 3^9
-    # maps split into 9 blocks of 3^7
     spread = digraph(9, [(0, 1), (1, 5), (8, 0), (4, 6), (6, 7), (7, 3), (2, 8)])
     small = [digraph(1, []), digraph(3, []), digraph(3, [(0, 2)]),
              path_digraph(parse_orientation("><<")), cycle_digraph(parse_orientation(">>>"))]
@@ -397,11 +412,17 @@ def test_blocked_generic_matches_the_map_loop():
     big.append([[10**12] * 3] * 3)
     floats = [rng.uniform(-1, 1, (n, n)).tolist() for n in (1, 2, 3, 4)]
     cases = [(d, h) for d in small for h in half_loop + _seeded_exact_hosts() + big + floats]
-    zeros = [[0.0] * 3] * 3  # every head map skipped: still a float 0.0
+    zeros = [[0.0] * 3] * 3  # every product is 0.0: still a float
     cases += [(spread, h) for h in (half_loop[10], big[2], floats[2], zeros)]  # all n = 3
     # 66 arcs on n = 2: a count near 2^78, so only object ints hold it
     transitive66 = digraph(12, list(combinations(range(12), 2)))
     cases += [(transitive66, [[2, 2], [2, 2]]), (transitive66, [[1, 2], [0, 1]])]
+    # K4 minus an arc, and an in-star with its leaves listed first (width 1)
+    k4_minus = digraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    in_star = digraph(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
+    assert _frontier_steps(tuple(in_star.arcs), 5)[0] == 1
+    cases += [(d, h) for d in (k4_minus, in_star)
+              for h in half_loop + _seeded_exact_hosts() + big[:3] + floats]
     for d, host in cases:
         got, want = hom_generic(d, host).raw, map_loop(d, host_entries(host)[1])
         assert type(got) is type(want), (d, host)
@@ -409,7 +430,6 @@ def test_blocked_generic_matches_the_map_loop():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         else:
             assert got == want
-    assert 3**9 > 2 * GENERIC_BLOCK
     assert map_loop(transitive66, [[2, 2], [2, 2]]) == 2**78
     # entries of 10^12 push the 3-arc path past 2^63 on n = 3
     assert hom_generic(small[3], big[3]).raw == 3**4 * 10**36 > 2**63

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,8 @@ import pytest
 from test_tournament import stack_tournaments
 from toursid.construct import CertDirection, certificate
 from toursid.core import Orientation, cycle_digraph, digraph, path_digraph
-from toursid.errors import CapExceeded, InvalidHost, PreconditionViolated
-from toursid.hom import contract, contract_grad, hom_generic, hom_path
+from toursid.errors import CapExceeded, InternalAssertionFailed, InvalidHost, PreconditionViolated
+from toursid.hom import contract, contract_grad, hom_count, hom_generic
 from toursid.search import (
     MODE_TAS,
     MODE_TS,
@@ -100,6 +101,23 @@ def test_certify_paper_hosts():
     assert tas is not None and tas.value == F(2307, 64)
     ts = certify("><>>><", certificate("PerturbedCyclic").host, MODE_TS)
     assert ts is not None and ts.value < F(2187, 64)
+
+
+def test_certify_refuses_a_value_the_recheck_contradicts(monkeypatch):
+    # a kernel that counts one too many still sees the TAS violation, and
+    # the frontier recheck must refuse it, on a path and on a 4-cycle
+    from toursid import search
+
+    def off_by_one(d, host):
+        count = hom_count(d, host)
+        return dataclasses.replace(count, raw=count.raw + 1)
+
+    cycle = cycle_digraph("<><>")
+    cycle_host = refute(cycle, MODE_TAS, n_max=2).violation.host
+    monkeypatch.setattr(search, "hom_count", off_by_one)
+    for pattern, host in (("><>>><", certificate("TransitiveTriangle").host), (cycle, cycle_host)):
+        with pytest.raises(InternalAssertionFailed, match="re-verification"):
+            certify(pattern, host, MODE_TAS)
 
 
 def test_rationalize_host_round_trip():
@@ -270,7 +288,26 @@ def test_optimizer_certificates_past_the_generic_cap():
     assert ts.threshold == tas.threshold == 2**23
     assert ts.value == F(1071918557, 128) < 2**23 < tas.value
     for cert in (ts, tas):
-        assert cert.host.n == 8 and cert.value == hom_path(cert.pattern, cert.host).raw
+        assert cert.host.n == 8
+        assert cert.value == hom_generic(path_digraph(cert.pattern), cert.host).raw
+
+
+# (class, mode) pairs of oriented 12- to 14-cycles that the n <= 6 scan
+# finds violated on a host with more than 10^9 maps: only a recheck whose
+# work does not grow as n^v certifies them
+CYCLES_PAST_THE_MAP_CAP = [
+    ("<<<<<<<><><>", MODE_TAS), ("<<<<<<<><><>>", MODE_TAS), ("<<<<<<><><<>>", MODE_TAS),
+    ("<<<<<<>><><>>", MODE_TAS), ("<<<<><<>><><>", MODE_TS), ("<<<><<<><<><>", MODE_TS),
+    ("<<<><<><<<><>", MODE_TS), ("<<<<<><><><><>", MODE_TS), ("<<<><<<><<><>>", MODE_TS),
+]
+
+
+@pytest.mark.parametrize("cycle,mode", CYCLES_PAST_THE_MAP_CAP)
+def test_cycle_certificates_past_the_map_cap(cycle, mode):
+    d = cycle_digraph(cycle)
+    cert = refute(d, mode, n_max=6).violation
+    assert cert is not None and cert.value == hom_count(d, cert.host).raw
+    assert cert.host.n ** d.v > 10**9
 
 
 @pytest.mark.parametrize("optimizer_n,error", [
