@@ -166,13 +166,12 @@ def _cmd_kernels(args) -> None:
 
 def _write_certificate(prefix: str, cert) -> None:
     """The certificate's host as prefix.wt and its sidecar as prefix.json."""
-    from . import construct
     from .tournament import format_weighted_text
 
     with open(prefix + ".wt", "w", encoding="utf-8") as fh:
         fh.write(format_weighted_text(cert.host))
     with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        fh.write(construct.certificate_sidecar_json(cert))
+        fh.write(_json_line(cert.to_json_dict()))
 
 
 def _cmd_certificate(args) -> None:

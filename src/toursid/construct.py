@@ -1,29 +1,31 @@
 """Explicit kernels, counterexample certificates, and parameterized hosts.
 
 The named step kernels and the two 3x3 weighted-tournament certificates are
-pinned exactly; certificate pass/fail comparisons happen in rational
-arithmetic only.
+pinned exactly.  Every certificate comes from certify, which compares in
+rational arithmetic only and rechecks a broken bound on an independent
+evaluator.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Orientation, as_orientation
+from .core import Digraph, Orientation, as_orientation, path_digraph
 from .errors import (
     CapExceeded,
+    InternalAssertionFailed,
     InvalidDelta,
+    InvalidHost,
     InvalidInput,
     NotSkewForEvenPower,
     RangeViolated,
     UnknownName,
     ValidityConditionViolated,
 )
-from .hom import hom_path, t_kernel_cycle, t_kernel_path
+from .hom import hom_count, hom_generic, t_kernel_cycle, t_kernel_path
 from .tournament import SkewMatrix, WeightedTournament, _freeze, skew
 
 TENSOR_SIZE_CAP = 4096
@@ -137,23 +139,39 @@ class Certificate:
         }
 
 
-SIX_EDGE_PATTERN = "><>>><"
+def _pattern_meta(pattern) -> tuple[Digraph, str, Orientation | None]:
+    """The pattern as a digraph, its report text, and its orientation if a path."""
+    if isinstance(pattern, (str, Orientation)):
+        o = as_orientation(pattern)
+        return path_digraph(o), str(o), o
+    if isinstance(pattern, Digraph):
+        return pattern, f"digraph(v={pattern.v},e={pattern.e})", None
+    raise TypeError("pattern must be an orientation or a digraph")
 
 
-def _direction_for(value: Fraction, threshold: Fraction) -> CertDirection | None:
+def certify(pattern, host: WeightedTournament) -> Certificate:
+    """The pattern's exact count in host against n^v/2^e.
+
+    The direction names the bound the count breaks, None at equality.  A
+    broken bound is rechecked on hom_generic's frontier sum, which shares no
+    code with the kernel.
+    """
+    if not host.is_exact:
+        raise InvalidHost("certification requires an exact-rational host")
+    d, _, o = _pattern_meta(pattern)
+    value = Fraction(hom_count(d, host).raw)
+    threshold = Fraction(host.n**d.v, 2**d.e)
+    direction = None
     if value > threshold:
-        return CertDirection.VIOLATES_TAS
-    if value < threshold:
-        return CertDirection.VIOLATES_TS
-    return None
+        direction = CertDirection.VIOLATES_TAS
+    elif value < threshold:
+        direction = CertDirection.VIOLATES_TS
+    if direction is not None and Fraction(hom_generic(d, host).raw) != value:
+        raise InternalAssertionFailed("certificate value failed independent re-verification")
+    return Certificate(host, o, direction, threshold, value)
 
 
-def _certificate_from_host(entries, pattern: str) -> Certificate:
-    host = WeightedTournament(3, _freeze(entries))
-    o = as_orientation(pattern)
-    value = hom_path(o, host).raw
-    threshold = Fraction(3**o.v, 2**o.e)
-    return Certificate(host, o, _direction_for(value, threshold), threshold, value)
+SIX_EDGE_PATTERN = "><>>><"
 
 
 def certificate(name: str, delta=Fraction(1, 100)) -> Certificate:
@@ -165,14 +183,14 @@ def certificate(name: str, delta=Fraction(1, 100)) -> Certificate:
     half = Fraction(1, 2)
     if name == "TransitiveTriangle":
         ent = [[half, 1, 1], [0, half, 1], [0, 0, half]]
-        return _certificate_from_host(ent, SIX_EDGE_PATTERN)
-    if name == "PerturbedCyclic":
+    elif name == "PerturbedCyclic":
         d = Fraction(delta)
         if not (0 <= d <= 1):
             raise InvalidDelta(f"delta = {d} leaves [0,1]")
         ent = [[half, 1 - d, 0], [d, half, 1], [1, 0, half]]
-        return _certificate_from_host(ent, SIX_EDGE_PATTERN)
-    raise UnknownName(f"unknown certificate {name!r}")
+    else:
+        raise UnknownName(f"unknown certificate {name!r}")
+    return certify(SIX_EDGE_PATTERN, WeightedTournament(3, _freeze(ent)))
 
 
 def w_eps(b: SkewMatrix, eps) -> WeightedTournament:
@@ -222,7 +240,3 @@ def sparse_non_tas(part_sizes) -> SparseConstruction:
         (parts[p][0], parts[q][0]) for p in range(m) for q in range(p + 1, m)
     )
     return SparseConstruction(tuple(parts), edges, m, nxt, len(edges))
-
-
-def certificate_sidecar_json(cert: Certificate) -> str:
-    return json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"

@@ -19,16 +19,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .construct import Certificate, CertDirection, named_kernel, certificate as known_certificate
-from .core import Digraph, Orientation, as_orientation, path_digraph
+from .construct import Certificate, CertDirection, _pattern_meta, certify, named_kernel
+from .construct import certificate as known_certificate
+from .core import Digraph
 from .errors import (
     CapExceeded,
     InternalAssertionFailed,
-    InvalidHost,
     InvalidInput,
     PreconditionViolated,
 )
-from .hom import contract, contract_grad, hom_count, hom_generic
+from .hom import contract, contract_grad
 from .tournament import (
     ENUMERATION_CAP,
     Tournament,
@@ -71,39 +71,8 @@ class RefutationReport:
         }
 
 
-def _pattern_meta(pattern) -> tuple[Digraph, str, Orientation | None]:
-    """The pattern as a digraph, its report text, and its orientation if a path."""
-    if isinstance(pattern, (str, Orientation)):
-        o = as_orientation(pattern)
-        return path_digraph(o), str(o), o
-    if isinstance(pattern, Digraph):
-        return pattern, f"digraph(v={pattern.v},e={pattern.e})", None
-    raise TypeError("pattern must be an orientation or a digraph")
-
-
 def _violates(mode: str, value: Fraction, threshold: Fraction) -> bool:
     return value > threshold if mode == MODE_TAS else value < threshold
-
-
-def certify(pattern, host: WeightedTournament, mode: str) -> Certificate | None:
-    """Exact strict comparison against n^v/2^e; None when no violation.
-
-    A violation is rechecked on hom_generic's frontier sum, which shares no
-    code with the kernel.
-    """
-    if mode not in (MODE_TAS, MODE_TS):
-        raise InvalidInput("mode must be 'TAS' or 'TS'")
-    if not host.is_exact:
-        raise InvalidHost("certification requires an exact-rational host")
-    d, _, o = _pattern_meta(pattern)
-    value = Fraction(hom_count(d, host).raw)
-    threshold = Fraction(host.n**d.v, 2**d.e)
-    if not _violates(mode, value, threshold):
-        return None
-    if Fraction(hom_generic(d, host).raw) != value:
-        raise InternalAssertionFailed("certificate value failed independent re-verification")
-    direction = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
-    return Certificate(host, o, direction, threshold, value)
 
 
 def rationalize_host(host: WeightedTournament, max_den: int = RATIONALIZE_MAX_DEN) -> WeightedTournament:
@@ -297,7 +266,8 @@ def refute(
         raise PreconditionViolated("the optimizer needs optimizer_n >= 2")
     if optimizer_n is not None and optimizer_n > OPTIMIZER_N_CAP:
         raise CapExceeded(f"optimizer capped at n <= {OPTIMIZER_N_CAP}")
-    d, text, o = _pattern_meta(pattern)
+    d, text, _ = _pattern_meta(pattern)
+    wanted = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
     samples = 0
     for n in range(1, n_max + 1):
         adj = tournament_stack(n)
@@ -307,8 +277,8 @@ def refute(
         hits = np.flatnonzero(_violates(mode, counts, target))
         if hits.size:
             host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
-            cert = certify(pattern, host, mode)
-            if cert is None or cert.value != Fraction(int(counts[hits[0]]), 2**d.e):
+            cert = certify(pattern, host)
+            if cert.direction is not wanted or cert.value != Fraction(int(counts[hits[0]]), 2**d.e):
                 raise InternalAssertionFailed("the scan's violation failed exact certification")
             return RefutationReport(text, mode, n, samples, cert)
     n_checked = n_max
@@ -318,7 +288,7 @@ def refute(
         result = optimize_density(d, n_opt, objective, restarts=budget, seed=seed)
         samples += result.restarts
         for max_den in (RATIONALIZE_MAX_DEN, 100):
-            cert = certify(pattern, rationalize_host(result.host, max_den), mode)
-            if cert is not None:
+            cert = certify(pattern, rationalize_host(result.host, max_den))
+            if cert.direction is wanted:
                 return RefutationReport(text, mode, n_checked, samples, cert)
     return RefutationReport(text, mode, n_checked, samples, None)

@@ -197,42 +197,33 @@ def expand_path(o) -> SPolynomial:
 
     Dynamic programming over edge positions; states carry the multiset of
     completed even B-runs (odd runs are dropped immediately since they
-    vanish), the count of empty chain segments (each contributes a factor n),
-    and the open run length.
+    vanish) and the open run length.  Each empty chain segment contributes
+    a factor n, and their count is v - sum(run + 1) over the runs.
     """
     o = as_orientation(o)
     e = o.e
     if e > EXPAND_EDGE_CAP:
         raise CapExceeded(f"expansion capped at {EXPAND_EDGE_CAP} edges")
-    # state: (closed runs sorted tuple, zero segment count, open run length).
-    # After k edges a coefficient is kept times 2^k, so a B step multiplies
-    # it by 2d, a gap (a factor 1/2) leaves it as it is, and 2^e divides out
-    # once at the end.
-    state: dict[tuple[tuple[int, ...], int, int], int] = {((), 0, 0): 1}
+    # state: (closed runs sorted tuple, open run length).  After k edges a
+    # coefficient is kept times 2^k, so a B step multiplies it by 2d, a gap
+    # (a factor 1/2) leaves it as it is, and 2^e divides out once at the end.
+    state: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
     for d in o.dirs:
-        nxt: dict[tuple[tuple[int, ...], int, int], int] = {}
-        for (runs, zeros, open_run), coeff in state.items():
-            key = (runs, zeros, open_run + 1)
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        for (runs, open_run), coeff in state.items():
+            key = (runs, open_run + 1)
             nxt[key] = nxt.get(key, 0) + 2 * d * coeff
             # gap: close the open run; odd closed runs vanish
-            if open_run == 0:
-                key = (runs, zeros + 1, 0)
-            elif open_run % 2 == 0:
-                key = (tuple(sorted(runs + (open_run,))), zeros, 0)
-            else:
-                continue
-            nxt[key] = nxt.get(key, 0) + coeff
+            if open_run % 2 == 0:
+                key = (tuple(sorted(runs + (open_run,))) if open_run else runs, 0)
+                nxt[key] = nxt.get(key, 0) + coeff
         state = nxt
     terms: dict[TermKey, int] = {}
-    for (runs, zeros, open_run), coeff in state.items():
-        if open_run == 0:
-            zeros += 1
-        elif open_run % 2 == 0:
-            runs = tuple(sorted(runs + (open_run,)))
-        else:
-            continue
-        key = (zeros, runs)
-        terms[key] = terms.get(key, 0) + coeff
+    for (runs, open_run), coeff in state.items():
+        if open_run % 2 == 0:
+            runs = tuple(sorted(runs + (open_run,))) if open_run else runs
+            key = (o.v - sum(r + 1 for r in runs), runs)
+            terms[key] = terms.get(key, 0) + coeff
     scale = 2**e
     frozen = tuple(sorted(((k, Fraction(c, scale)) for k, c in terms.items() if c),
                           key=lambda kv: kv[0]))

@@ -325,7 +325,7 @@ def _ratio_path(r: float, rng, n: int, beta: float):
     """
     import numpy as np
 
-    cols = np.where(_columns(rng.integers(0, 2, size=n), 1), beta, -beta)
+    cols = np.take(np.array([-beta, beta]), _columns(rng.integers(0, 2, size=n), 1))
     path = np.empty_like(cols)
     rows = list(zip(cols, path))
 

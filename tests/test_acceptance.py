@@ -486,7 +486,8 @@ def test_criterion_12_refutation_controls():
     found = refute(SIX_EDGE, MODE_TAS, n_max=3)
     ok &= found.violation is not None
     ok &= found.violation.value > found.violation.threshold
-    ok &= certify(SIX_EDGE, certificate("TransitiveTriangle").host, MODE_TAS) is not None
+    ok &= (certify(SIX_EDGE, certificate("TransitiveTriangle").host).direction
+           is CertDirection.VIOLATES_TAS)
 
     ts_opt = refute(SIX_EDGE, MODE_TS, n_max=3, budget=1, seed=0)
     ok &= ts_opt.violation is not None

@@ -907,6 +907,10 @@ def test_golden_corpus_is_unchanged_under_python_O(tmp_path):
     (["certificate", "PerturbedCyclic", "--delta", "1/50"],
      '{"direction":"ViolatesTS","pattern":"><>>><","threshold":"2187/64",'
      '"value":"533930539573/15625000000"}\n'),
+    (["certificate", "PerturbedCyclic", "--delta", "0"],
+     '{"direction":null,"pattern":"><>>><","threshold":"2187/64","value":"2187/64"}\n'),
+    (["certificate", "PerturbedCyclic", "--delta", "1/2"],
+     '{"direction":"ViolatesTAS","pattern":"><>>><","threshold":"2187/64","value":"2245/64"}\n'),
 ], ids=lambda a: a[1] if isinstance(a, list) else None)
 def test_golden_certificate_files(argv, expected, tmp_path, capsys):
     prefix = str(tmp_path / "cert")
@@ -914,9 +918,11 @@ def test_golden_certificate_files(argv, expected, tmp_path, capsys):
     assert (tmp_path / "cert.json").read_text() == expected
     hosts = {
         "TransitiveTriangle": "wtournament n=3\n1/2 1/1 1/1\n0/1 1/2 1/1\n0/1 0/1 1/2\n",
-        "PerturbedCyclic": "wtournament n=3\n1/2 49/50 0/1\n1/50 1/2 1/1\n1/1 0/1 1/2\n",
+        "PerturbedCyclic --delta 1/50": "wtournament n=3\n1/2 49/50 0/1\n1/50 1/2 1/1\n1/1 0/1 1/2\n",
+        "PerturbedCyclic --delta 0": "wtournament n=3\n1/2 1/1 0/1\n0/1 1/2 1/1\n1/1 0/1 1/2\n",
+        "PerturbedCyclic --delta 1/2": "wtournament n=3\n1/2 1/2 0/1\n1/2 1/2 1/1\n1/1 0/1 1/2\n",
     }
-    assert (tmp_path / "cert.wt").read_text() == hosts[argv[1]]
+    assert (tmp_path / "cert.wt").read_text() == hosts[" ".join(argv[1:])]
 
 
 def test_golden_refuted_path_certificate_files(tmp_path, capsys):

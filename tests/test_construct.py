@@ -7,13 +7,13 @@ from toursid.construct import (
     CertDirection,
     ab_construction,
     certificate,
-    certificate_sidecar_json,
     named_kernel,
     sparse_non_tas,
     tensor_density,
     tensor_power,
     w_eps,
 )
+from toursid.cli import _json_line
 from toursid.core import digraph
 from toursid.errors import (
     InvalidDelta,
@@ -141,7 +141,7 @@ def test_certificate_serialization_round_trip():
     cert = certificate("TransitiveTriangle")
     again = parse_weighted_text(format_weighted_text(cert.host))
     assert again == cert.host
-    sidecar = certificate_sidecar_json(cert)
+    sidecar = _json_line(cert.to_json_dict())
     assert '"2307/64"' in sidecar and '"2187/64"' in sidecar
 
 

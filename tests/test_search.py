@@ -86,27 +86,27 @@ def test_refute_tree_pattern():
 def test_certify_rejects_float_host():
     host = WeightedTournament(2, _freeze([[0.5, 0.6], [0.4, 0.5]]))
     with pytest.raises(InvalidHost):
-        certify("><", host, MODE_TAS)
+        certify("><", host)
 
 
 def test_certify_equality_is_no_violation():
     half = F(1, 2)
     host = WeightedTournament(2, _freeze([[half, half], [half, half]]))
-    assert certify(">>", host, MODE_TAS) is None
-    assert certify(">>", host, MODE_TS) is None
+    assert certify(">>", host).direction is None
 
 
 def test_certify_paper_hosts():
-    tas = certify("><>>><", certificate("TransitiveTriangle").host, MODE_TAS)
-    assert tas is not None and tas.value == F(2307, 64)
-    ts = certify("><>>><", certificate("PerturbedCyclic").host, MODE_TS)
-    assert ts is not None and ts.value < F(2187, 64)
+    tas = certify("><>>><", certificate("TransitiveTriangle").host)
+    assert tas.direction is CertDirection.VIOLATES_TAS and tas.value == F(2307, 64)
+    ts = certify("><>>><", certificate("PerturbedCyclic").host)
+    assert ts.direction is CertDirection.VIOLATES_TS and ts.value < F(2187, 64)
 
 
 def test_certify_refuses_a_value_the_recheck_contradicts(monkeypatch):
     # a kernel that counts one too many still sees the TAS violation, and
-    # the frontier recheck must refuse it, on a path and on a 4-cycle
-    from toursid import search
+    # the frontier recheck must refuse it, on a path and on a 4-cycle, and
+    # when it builds a named host; the hosts are built before the patch
+    from toursid import construct
 
     def off_by_one(d, host):
         count = hom_count(d, host)
@@ -114,10 +114,13 @@ def test_certify_refuses_a_value_the_recheck_contradicts(monkeypatch):
 
     cycle = cycle_digraph("<><>")
     cycle_host = refute(cycle, MODE_TAS, n_max=2).violation.host
-    monkeypatch.setattr(search, "hom_count", off_by_one)
-    for pattern, host in (("><>>><", certificate("TransitiveTriangle").host), (cycle, cycle_host)):
+    path_host = certificate("TransitiveTriangle").host
+    monkeypatch.setattr(construct, "hom_count", off_by_one)
+    for pattern, host in (("><>>><", path_host), (cycle, cycle_host)):
         with pytest.raises(InternalAssertionFailed, match="re-verification"):
-            certify(pattern, host, MODE_TAS)
+            certify(pattern, host)
+    with pytest.raises(InternalAssertionFailed, match="re-verification"):
+        certificate("TransitiveTriangle")
 
 
 def test_rationalize_host_round_trip():
