@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Digraph, Orientation, as_orientation, path_digraph
+from .core import Orientation, as_pattern
 from .errors import (
     CapExceeded,
     InternalAssertionFailed,
@@ -139,26 +139,17 @@ class Certificate:
         }
 
 
-def _pattern_meta(pattern) -> tuple[Digraph, str, Orientation | None]:
-    """The pattern as a digraph, its report text, and its orientation if a path."""
-    if isinstance(pattern, (str, Orientation)):
-        o = as_orientation(pattern)
-        return path_digraph(o), str(o), o
-    if isinstance(pattern, Digraph):
-        return pattern, f"digraph(v={pattern.v},e={pattern.e})", None
-    raise TypeError("pattern must be an orientation or a digraph")
-
-
-def certify(pattern, host: WeightedTournament) -> Certificate:
+def certify(pattern, host: WeightedTournament, want: CertDirection | None = None) -> Certificate | None:
     """The pattern's exact count in host against n^v/2^e.
 
     The direction names the bound the count breaks, None at equality.  A
     broken bound is rechecked on hom_generic's frontier sum, which shares no
-    code with the kernel.
+    code with the kernel.  Given want, a count that does not break that
+    bound gives None without a recheck.
     """
     if not host.is_exact:
         raise InvalidHost("certification requires an exact-rational host")
-    d, _, o = _pattern_meta(pattern)
+    d, _, o = as_pattern(pattern)
     value = Fraction(hom_count(d, host).raw)
     threshold = Fraction(host.n**d.v, 2**d.e)
     direction = None
@@ -166,6 +157,8 @@ def certify(pattern, host: WeightedTournament) -> Certificate:
         direction = CertDirection.VIOLATES_TAS
     elif value < threshold:
         direction = CertDirection.VIOLATES_TS
+    if want is not None and direction is not want:
+        return None
     if direction is not None and Fraction(hom_generic(d, host).raw) != value:
         raise InternalAssertionFailed("certificate value failed independent re-verification")
     return Certificate(host, o, direction, threshold, value)

@@ -157,6 +157,16 @@ def path_digraph(o) -> Digraph:
     return _ring_digraph(o.dirs, o.v)
 
 
+def as_pattern(pattern) -> tuple[Digraph, str, Orientation | None]:
+    """A pattern as a digraph, its report text, and its orientation if a path."""
+    if isinstance(pattern, (str, Orientation)):
+        o = as_orientation(pattern)
+        return path_digraph(o), str(o), o
+    if isinstance(pattern, Digraph):
+        return pattern, f"digraph(v={pattern.v},e={pattern.e})", None
+    raise TypeError("pattern must be an orientation or a digraph")
+
+
 def cycle_digraph(c) -> Digraph:
     c = as_cycle(c)
     return _ring_digraph(c.orientation.dirs, c.length)

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .construct import Certificate, CertDirection, _pattern_meta, certify, named_kernel
+from .construct import Certificate, CertDirection, certify, named_kernel
 from .construct import certificate as known_certificate
-from .core import Digraph
+from .core import Digraph, as_pattern
 from .errors import (
     CapExceeded,
     InternalAssertionFailed,
@@ -172,7 +172,7 @@ def optimize_density(
         raise CapExceeded(f"optimizer budget capped at {OPTIMIZER_BUDGET_CAP} restarts")
     if objective not in ("maximize", "minimize"):
         raise InvalidInput("objective must be 'maximize' or 'minimize'")
-    d, _, _ = _pattern_meta(pattern)
+    d, _, _ = as_pattern(pattern)
     sign = 1.0 if objective == "maximize" else -1.0
     improves = np.greater if objective == "maximize" else np.less
     rng = random.Random(seed)
@@ -248,7 +248,8 @@ def refute(
     in int64 under the kernel's overflow guard, so it yields 2^e h exactly,
     to be compared with n^v.  At the first n with a strict violation, the
     lowest-index violating host is rebuilt and passed to certify, which
-    rechecks it independently.  budget counts optimizer restarts,
+    rechecks it independently.  A rationalized optimizer host is certified
+    only if it breaks the mode's bound.  budget counts optimizer restarts,
     at most OPTIMIZER_BUDGET_CAP; 0 skips stage 2.  optimizer_n, when
     given, is the optimizer's host size, 2 <= optimizer_n <= OPTIMIZER_N_CAP.
     """
@@ -266,7 +267,7 @@ def refute(
         raise PreconditionViolated("the optimizer needs optimizer_n >= 2")
     if optimizer_n is not None and optimizer_n > OPTIMIZER_N_CAP:
         raise CapExceeded(f"optimizer capped at n <= {OPTIMIZER_N_CAP}")
-    d, text, _ = _pattern_meta(pattern)
+    d, text, _ = as_pattern(pattern)
     wanted = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
     samples = 0
     for n in range(1, n_max + 1):
@@ -277,8 +278,8 @@ def refute(
         hits = np.flatnonzero(_violates(mode, counts, target))
         if hits.size:
             host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
-            cert = certify(pattern, host)
-            if cert.direction is not wanted or cert.value != Fraction(int(counts[hits[0]]), 2**d.e):
+            cert = certify(pattern, host, wanted)
+            if cert is None or cert.value != Fraction(int(counts[hits[0]]), 2**d.e):
                 raise InternalAssertionFailed("the scan's violation failed exact certification")
             return RefutationReport(text, mode, n, samples, cert)
     n_checked = n_max
@@ -288,7 +289,7 @@ def refute(
         result = optimize_density(d, n_opt, objective, restarts=budget, seed=seed)
         samples += result.restarts
         for max_den in (RATIONALIZE_MAX_DEN, 100):
-            cert = certify(pattern, rationalize_host(result.host, max_den))
-            if cert.direction is wanted:
+            cert = certify(pattern, rationalize_host(result.host, max_den), wanted)
+            if cert is not None:
                 return RefutationReport(text, mode, n_checked, samples, cert)
     return RefutationReport(text, mode, n_checked, samples, None)

@@ -100,6 +100,8 @@ def test_certify_paper_hosts():
     assert tas.direction is CertDirection.VIOLATES_TAS and tas.value == F(2307, 64)
     ts = certify("><>>><", certificate("PerturbedCyclic").host)
     assert ts.direction is CertDirection.VIOLATES_TS and ts.value < F(2187, 64)
+    assert certify("><>>><", tas.host, CertDirection.VIOLATES_TS) is None
+    assert certify("><>>><", ts.host, CertDirection.VIOLATES_TS) == ts
 
 
 def test_certify_refuses_a_value_the_recheck_contradicts(monkeypatch):
@@ -293,6 +295,18 @@ def test_optimizer_certificates_past_the_generic_cap():
     for cert in (ts, tas):
         assert cert.host.n == 8
         assert cert.value == hom_generic(path_digraph(cert.pattern), cert.host).raw
+
+
+def test_optimizer_host_on_the_wrong_side_is_not_rechecked(monkeypatch):
+    # the minimizer's host for the transitive 4-tournament ends above
+    # n^v/2^e; with every recheck over the generic cap, as the transitive
+    # 8-tournament's is at optimizer_n = 6, refute must still report no
+    # violation rather than raise
+    from toursid import hom
+
+    t4 = digraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    monkeypatch.setattr(hom, "GENERIC_CAP", 0)
+    assert refute(t4, MODE_TS, n_max=1, budget=1, seed=0, optimizer_n=4).violation is None
 
 
 # (class, mode) pairs of oriented 12- to 14-cycles that the n <= 6 scan
