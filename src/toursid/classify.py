@@ -69,19 +69,20 @@ class Classification:
         return d
 
 
-def _tail_direction(counts: SignedCounts) -> tuple[Verdict, str] | None:
+def _tail_direction(counts: SignedCounts) -> tuple[Verdict, str, str] | None:
     """Resolve the C(P3) = 0 cascade to a direction, or None if degenerate.
 
-    Returns the verdict the counts point to, ignoring any cycle parity gate.
+    Returns the verdict the counts point to, ignoring any cycle parity gate,
+    with the rule's family and case.
     """
     c5, c23 = counts.c_p5, counts.c_2p3
     k, ck = counts.min_k, counts.c_min_k
     if c5 == -c23:  # degenerate, includes the all-zero case
         return None
     if c5 > 0 and c5 > -c23:
-        return (Verdict.LTS, "case(i)")
+        return (Verdict.LTS, "P5-2P3", "i")
     if c5 < 0 and c5 < -c23:
-        return (Verdict.LTAS, "case(ii)")
+        return (Verdict.LTAS, "P5-2P3", "ii")
     if c5 == 0:
         # Here c23 != 0 because c5 != -c23, and c23 < 0: with C(P3) = C(P5)
         # = 0, C(2P3) <= 0 on every path and cycle, so the LTS case(i) of
@@ -96,16 +97,9 @@ def _tail_direction(counts: SignedCounts) -> tuple[Verdict, str] | None:
         if c23 > 0:
             raise InternalAssertionFailed("C(P3) = C(P5) = 0 with C(2P3) > 0")
         if k is None or (-1) ** k * ck < 0:
-            return (Verdict.LTAS, "2p3(ii)")
-        return (Verdict.NEITHER, "2p3(iii)")
-    return (Verdict.NEITHER, "case(iii)")
-
-
-def _rule_name(tag: str, cycle: bool) -> str:
-    fam = "2P3" if tag.startswith("2p3") else "P5-2P3"
-    case = tag.split("(")[1].rstrip(")")
-    suffix = "-cycle" if cycle else ""
-    return f"{fam}{suffix}:case({case})"
+            return (Verdict.LTAS, "2P3", "ii")
+        return (Verdict.NEITHER, "2P3", "iii")
+    return (Verdict.NEITHER, "P5-2P3", "iii")
 
 
 def _parity_allows(verdict: Verdict, ell: int, t: int | None) -> bool:
@@ -150,7 +144,8 @@ def _cascade(counts: SignedCounts, flips: int | None, best_effort: bool, base: d
         rule = ("unknown:all-zero"
                 if counts.c_p5 == 0 and counts.c_2p3 == 0 else "unknown:P5=-2P3")
     else:
-        verdict, rule = resolved[0], _rule_name(resolved[1], cycle)
+        verdict, fam, case = resolved
+        rule = f"{fam}{'-cycle' if cycle else ''}:case({case})"
     if not _parity_allows(verdict, v, flips):
         verdict, rule = Verdict.NEITHER, rule.split(":")[0] + ":cycle-parity"
     return Classification(verdict, rule, counts, pre_ok, flips=flips, **base)

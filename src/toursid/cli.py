@@ -151,13 +151,14 @@ def _cmd_kernels(args) -> None:
     from . import construct, hom
 
     k = construct.named_kernel(args.name)
+    t_p3 = hom.t_kernel_path(k.matrix, 2)
     payload = {
         "name": k.name,
         "n": k.matrix.n,
         "rows": [[_frac(x) for x in row] for row in k.matrix.entries],
-        "t_p3": _frac(hom.t_kernel_path(k.matrix, 2)),
+        "t_p3": _frac(t_p3),
         "t_p5": _frac(hom.t_kernel_path(k.matrix, 4)),
-        "t_2p3": _frac(Fraction(hom.t_kernel_path(k.matrix, 2)) ** 2),
+        "t_2p3": _frac(t_p3**2),
     }
     _emit(args, payload, [f"{k.name}: n={k.matrix.n}"] +
           [" ".join(_frac(x) for x in row) for row in k.matrix.entries] +

@@ -37,7 +37,8 @@ Evaluators:
                  every certificate, and that the tests check the kernel
                  against.
 * t_kernel_*  -- signed densities of directed even paths / cycles in a skew
-                 kernel, from _chain's row vectors 1^T B^k; cycle densities
+                 kernel, and s_moments_up_to's signed moments 1^T B^k 1, as
+                 kernel counts of the directed path or cycle; cycle densities
                  normalize by n^length (the vertex count), path densities
                  by n^(edges+1).
 """
@@ -52,7 +53,7 @@ from string import ascii_letters
 
 import numpy as np
 
-from .core import Digraph, cycle_digraph, path_digraph
+from .core import Digraph, cycle_digraph, directed_path_digraph, path_digraph
 from .errors import CapExceeded, InvalidInput, TooShort
 from .tournament import SkewMatrix, Tournament, WeightedTournament, _is_exact
 
@@ -183,15 +184,6 @@ def _frontier_steps(arcs: tuple, v: int) -> tuple[int, tuple]:
         frontier = [frontier[j] for j in keep] + [x] * stays
         steps.append((to_x, keep, stays))
     return width, tuple(steps)
-
-
-def _chain(a, n: int, k: int) -> list[list]:
-    """The row vectors 1^T A^j for j = 0..k."""
-    vecs = [[1] * n]
-    for _ in range(k):
-        vec = vecs[-1]
-        vecs.append([sum(vec[i] * a[i][j] for i in range(n)) for j in range(n)])
-    return vecs
 
 
 def hom_path(o, host) -> HomCount:
@@ -384,28 +376,19 @@ def hom_cycle(c, host) -> HomCount:
     return hom_count(cycle_digraph(c), host)
 
 
-def s_moment(b: SkewMatrix, power: int):
-    """Signed moment 1^T B^power 1 (no absolute value)."""
-    return s_moments_up_to(b, power)[power]
-
-
 def s_moments_up_to(b: SkewMatrix, top: int) -> dict[int, object]:
-    """All signed moments 1^T B^k 1 for 0 <= k <= top, one vector pass."""
-    s = _scale(b.entries)
-    return {k: s.unscale(sum(vec), k) for k, vec in enumerate(_chain(s.rows, b.n, top))}
+    """The signed moments 1^T B^k 1 for 0 <= k <= top: n at k = 0, else the
+    kernel count of the directed k-edge path."""
+    return {0: b.n, **{k: hom_count(directed_path_digraph(k), b).raw for k in range(1, top + 1)}}
 
 
 def t_kernel_path(b: SkewMatrix, edges: int):
     """Signed density 1^T B^edges 1 / n^(edges+1); exactly 0 for odd edges."""
     if edges < 1:
         raise InvalidInput("need at least one edge")
-    zero = Fraction(0) if b.is_exact else 0.0
     if edges % 2 == 1:
-        return zero
-    s = s_moment(b, edges)
-    if b.is_exact:
-        return Fraction(s, b.n ** (edges + 1))
-    return s / float(b.n) ** (edges + 1)
+        return Fraction(0) if b.is_exact else 0.0
+    return hom_count(directed_path_digraph(edges), b).density
 
 
 def t_kernel_cycle(b: SkewMatrix, length: int):

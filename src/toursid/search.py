@@ -71,10 +71,6 @@ class RefutationReport:
         }
 
 
-def _violates(mode: str, value: Fraction, threshold: Fraction) -> bool:
-    return value > threshold if mode == MODE_TAS else value < threshold
-
-
 def rationalize_host(host: WeightedTournament, max_den: int = RATIONALIZE_MAX_DEN) -> WeightedTournament:
     """Round a float host to nearby small-denominator rationals.
 
@@ -275,7 +271,8 @@ def refute(
         counts = contract(d, half_loop_stack(n))
         target = n**d.v
         samples += len(adj)
-        hits = np.flatnonzero(_violates(mode, counts, target))
+        hits = np.flatnonzero(counts > target if wanted is CertDirection.VIOLATES_TAS
+                              else counts < target)
         if hits.size:
             host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
             cert = certify(pattern, host, wanted)

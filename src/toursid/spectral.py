@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import as_orientation
+from .core import as_orientation, directed_path_digraph
 from .errors import (
     CapExceeded,
     ConvergenceFailure,
@@ -38,7 +38,7 @@ from .errors import (
     InternalAssertionFailed,
     InvalidInput,
 )
-from .hom import s_moment, s_moments_up_to
+from .hom import hom_count, s_moments_up_to
 from .tournament import SkewMatrix
 
 EXPAND_EDGE_CAP = 24
@@ -87,7 +87,7 @@ def x_moment(b: SkewMatrix, t: int):
         raise InvalidInput("t must be >= 0")
     if t == 0:
         return Fraction(b.n) if b.is_exact else float(b.n)
-    return abs(s_moment(b, 2 * t))
+    return abs(hom_count(directed_path_digraph(2 * t), b).raw)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def check_x_lemma(b: SkewMatrix, s: int, t: int) -> XLemmaReport:
         raise EntryRangeViolated("entries must lie in [-1/2, 1/2]")
     n = b.n
     top = 2 * (s + t)
-    moments = s_moments_up_to(b, max(top, 2 * s, 2))
+    moments = s_moments_up_to(b, max(top, 2))
     scale = max([1.0] + [abs(float(v)) for k, v in moments.items() if k > 0])
     tol = 0 if b.is_exact else X_LEMMA_REL_TOL * scale
 
@@ -141,17 +141,14 @@ def check_x_lemma(b: SkewMatrix, s: int, t: int) -> XLemmaReport:
             sign_ok = False
     signs = ClauseReport(sign_ok, sign_margin)
 
-    x2s = abs(moments[2 * s]) if s > 0 else n
-    x2t = abs(moments[2 * t]) if t > 0 else n
+    x2s, x2t = abs(moments[2 * s]), abs(moments[2 * t])
     if b.is_exact:
         rhs3 = x2t * Fraction(n, 2) ** (2 * (s - t))
     else:
         rhs3 = x2t * (n / 2.0) ** (2 * (s - t))
     radius = ClauseReport(x2s <= rhs3 + tol, rhs3 - x2s)
 
-    xlo = abs(moments[2 * (s - t)]) if s - t > 0 else n
-    xhi = abs(moments[2 * (s + t)]) if s + t > 0 else n
-    rhs4 = xlo * xhi
+    rhs4 = abs(moments[2 * (s - t)]) * abs(moments[top])
     cs = ClauseReport(x2s * x2s <= rhs4 + tol * max(1.0, abs(float(rhs4))) if not b.is_exact
                       else x2s * x2s <= rhs4,
                       rhs4 - x2s * x2s)

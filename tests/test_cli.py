@@ -634,6 +634,16 @@ GOLDEN_COMMANDS = [
      '0/1 1/1\n'
      '-1/1 0/1\n'
      't_P3=-1/4 t_P5=1/16 t_2P3=1/16\n'),
+    # the one named kernel with nonzero t_P3 and t_P5
+    (["kernels", "BPrime", "--json"],
+     '{"n":3,"name":"BPrime","rows":[["0/1","1/1","-1/1"],["-1/1","0/1","0/1"],["1/1","0/1",'
+     '"0/1"]],"t_2p3":"4/729","t_p3":"-2/27","t_p5":"4/243"}\n'),
+    (["kernels", "BPrime"],
+     'BPrime: n=3\n'
+     '0/1 1/1 -1/1\n'
+     '-1/1 0/1 0/1\n'
+     '1/1 0/1 0/1\n'
+     't_P3=-2/27 t_P5=4/243 t_2P3=4/729\n'),
     (["verify", "--mode", "tas", "--pattern", ">><<", "--max-n", "5", "--json"],
      '{"mode":"TAS","n_checked":5,"pattern":">><<","samples'
      '":1099,"violation":null}\n'),

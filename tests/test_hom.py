@@ -26,6 +26,7 @@ from toursid.hom import (
     hom_cycle,
     hom_generic,
     hom_path,
+    s_moments_up_to,
     t_kernel_cycle,
     t_kernel_path,
 )
@@ -187,6 +188,44 @@ def test_balancedness_iff_p3_zero():
     b1 = named_kernel("B1").matrix
     assert t_kernel_path(b1, 2) != 0
     assert any(sum(row) != 0 for row in b1.entries)
+
+
+def _moment_reference(rows, k):
+    """1^T B^k 1 in Fractions, one row vector at a time."""
+    vec = [Fraction(1)] * len(rows)
+    for _ in range(k):
+        vec = [sum(vec[i] * Fraction(rows[i][j]) for i in range(len(rows)))
+               for j in range(len(rows))]
+    return sum(vec)
+
+
+def test_moments_match_the_oracle_and_the_fraction_reference():
+    # S_k on seeded exact skew hosts n <= 6, k <= 10: the frontier sum on the
+    # directed k-edge path gives the same value and type, a Fraction vector
+    # loop the same value; float hosts agree within 1e-12 n (n/2)^k
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 3, 4, 5, 6):
+        exact = []
+        for den in (1, int(rng.integers(2, 61))):
+            ent = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    ent[i][j] = Fraction(int(rng.integers(-den, den + 1)), den)
+                    ent[j][i] = -ent[i][j]
+            exact.append(skew(ent))
+        exact.append(skew([[int(x) for x in row] for row in exact[0].entries]))
+        for b in exact:
+            moments = s_moments_up_to(b, 10)
+            assert moments[0] == n and type(moments[0]) is int
+            for k in range(1, 11):
+                oracle = hom_generic(directed_path_digraph(k), b).raw
+                assert moments[k] == oracle == _moment_reference(b.entries, k)
+                assert type(moments[k]) is type(oracle)
+        upper = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
+        b = skew((upper - upper.T).tolist())
+        moments = s_moments_up_to(b, 10)
+        for k in range(11):
+            assert abs(moments[k] - _moment_reference(b.entries, k)) <= 1e-12 * n * (n / 2) ** k
 
 
 def test_2p3_equals_p3_squared_generic():
