@@ -212,8 +212,8 @@ class SparseConstruction:
     @property
     def violates(self) -> bool:
         # every orientation has quotient-hom density m^-k, which beats the
-        # 2^-e benchmark exactly when e > k log2 m
-        return self.k * math.log2(self.m) < self.e
+        # 2^-e benchmark exactly when m^k < 2^e, decided in integers
+        return self.m**self.k < 2**self.e
 
 
 def sparse_non_tas(part_sizes) -> SparseConstruction:

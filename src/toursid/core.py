@@ -239,8 +239,8 @@ def tree(v: int, edges) -> Tree:
 # --- graph walks ------------------------------------------------------------
 #
 # The one way to walk an undirected graph: an adjacency is a list of sorted
-# neighbour lists, indexed by vertex.  Trees walk their spines and longest
-# paths here, and the signed counts walk the path copies in a digraph.
+# neighbour lists, indexed by vertex.  Only trees walk here: their
+# connectivity, spines, branches and longest paths.
 
 
 def _neighbours(v: int, pairs) -> list[list[int]]:
@@ -291,18 +291,6 @@ def _path_order(adj, vertices) -> list[int] | None:
             return None
         seq.append(nxt[0])
     return seq
-
-
-def _simple_paths(adj, start: int, edges: int):
-    """Depth first, each simple path of exactly `edges` edges from start along
-    adj as a vertex tuple; the search goes no deeper."""
-    stack = [(start,)]
-    while stack:
-        path = stack.pop()
-        if len(path) > edges:
-            yield path
-        else:
-            stack.extend(path + (y,) for y in adj[path[-1]] if y not in path)
 
 
 # --- text formats -----------------------------------------------------------

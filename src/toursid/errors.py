@@ -45,10 +45,6 @@ class MissingHalfLoops(ToursidError):
     pass
 
 
-class OddComponent(ToursidError):
-    pass
-
-
 class PreconditionViolated(ToursidError):
     pass
 

@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Digraph, _component, _neighbours, _path_order, _simple_paths, as_cycle, as_orientation
-from .errors import CapExceeded, InternalAssertionFailed, InvalidInput, OddComponent
-
-SIGNED_HOST_EDGE_CAP = 40
+from .core import as_cycle, as_orientation
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -76,92 +74,6 @@ def path_counts(o) -> SignedCounts:
 def cycle_counts(c) -> SignedCounts:
     """The same counts on a cycle: windows wrap round, 2P3 windows are vertex-disjoint."""
     return _counts(as_cycle(c).orientation.dirs, cyclic=True)
-
-
-def _pattern_paths(q: Digraph) -> list[list[int]]:
-    """Each component as a vertex sequence along its path; reject non-paths."""
-    adj = _neighbours(q.v, q.arcs)
-    seen: set[int] = set()
-    comps = []
-    for s in range(q.v):
-        if s not in seen:
-            comp = _component(adj, s)
-            seen |= comp
-            seq = _path_order(adj, comp)
-            if seq is None:
-                raise InvalidInput("pattern components must be paths")
-            comps.append(seq)
-    return comps
-
-
-def _seq_dirs(seq: list[int], arcs) -> tuple[int, ...]:
-    return tuple(1 if (seq[i], seq[i + 1]) in arcs else -1 for i in range(len(seq) - 1))
-
-
-def _host_paths(d: Digraph, edges: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All simple paths with `edges` edges in the underlying graph of d.
-
-    Returns (vertex sequence, +-1 direction profile); each path appears once,
-    canonicalized by start < end.
-    """
-    adj = _neighbours(d.v, d.arcs)
-    return [(seq, _seq_dirs(seq, d.arcs))
-            for s in range(d.v) for seq in _simple_paths(adj, s, edges) if seq[0] < seq[-1]]
-
-
-def signed_count(q: Digraph, d: Digraph) -> int:
-    """Generic oracle: sum of copy signs over edge subsets isomorphic to q.
-
-    Pattern components must be paths with an even number of arcs (the sign is
-    ill-defined otherwise).
-    """
-    if d.e > SIGNED_HOST_EDGE_CAP:
-        raise CapExceeded(f"host has {d.e} > {SIGNED_HOST_EDGE_CAP} edges")
-    comps = _pattern_paths(q)
-    profiles = []
-    for seq in comps:
-        if len(seq) == 1:
-            continue  # isolated pattern vertices do not constrain edges
-        pdirs = _seq_dirs(seq, q.arcs)
-        if len(pdirs) % 2 == 1:
-            raise OddComponent("pattern component has an odd number of arcs")
-        profiles.append(pdirs)
-    if not profiles:
-        return 1 if q.v <= d.v else 0
-    # identical profiles are interchangeable: count ordered placements and
-    # divide by the multiplicity factorials
-    placements = {}
-    for p in set(profiles):
-        key = min(p, tuple(-x for x in reversed(p)))  # reversal gives the same copies
-        if key not in placements:
-            placements[key] = [(hdirs, frozenset(seq)) for seq, hdirs in _host_paths(d, len(key))]
-    keys = [min(p, tuple(-x for x in reversed(p))) for p in profiles]
-    mult: dict[tuple, int] = {}
-    for k in keys:
-        mult[k] = mult.get(k, 0) + 1
-    denom = 1
-    for m in mult.values():
-        denom *= math.factorial(m)
-
-    total = 0
-
-    def place(idx: int, used: frozenset[int], sign: int):
-        nonlocal total
-        if idx == len(profiles):
-            total += sign
-            return
-        pdirs = profiles[idx]
-        key = keys[idx]
-        for hdirs, vs in placements[key]:
-            if not used.isdisjoint(vs):
-                continue
-            dis = sum(1 for a, b in zip(hdirs, pdirs) if a != b)
-            place(idx + 1, used | vs, sign * (-1) ** (dis % 2))
-
-    place(0, frozenset(), 1)
-    if total % denom:
-        raise InternalAssertionFailed("ordered placements do not divide by the multiplicities")
-    return total // denom
 
 
 @dataclass(frozen=True)

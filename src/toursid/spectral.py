@@ -228,8 +228,8 @@ def expand_path(o) -> SPolynomial:
 
 
 def eval_spoly(p: SPolynomial, b: SkewMatrix):
-    """Substitute n and the signed moments of b; exact on exact input."""
-    svals = s_moments_up_to(b, max(p.indices(), default=0))
+    """Substitute n and the signed moments of b its terms hold; exact on exact input."""
+    svals = {r: hom_count(directed_path_digraph(r), b).raw for r in p.indices()}
     total = Fraction(0) if b.is_exact else 0.0
     for (z, runs), c in p.terms:
         term = c * b.n**z

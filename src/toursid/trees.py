@@ -46,6 +46,7 @@ from .tournament import ENUMERATION_CAP, Tournament, _freeze, tournament_stack
 PROV_CATERPILLAR = "CaterpillarRule"
 PROV_ISO_PAIR = "IsoPairRecursion"
 PROV_UNKNOWN = "Unknown"
+_GATHER_BYTES = 1 << 22  # the most bytes one arc gathers in _labeled_counts
 
 
 @dataclass(frozen=True)
@@ -295,9 +296,10 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
     first groups them in that order.  The stack is transposed once so that
     row p * n + q holds A[p, q] of every host; each arc then gathers whole
     rows, one per map phi at phi(u) * n + phi(w), into an (anchor images,
-    completions, hosts) array.  With no injective map the counts are zero
-    and the stack is not read.  No count exceeds the completions count,
-    which is checked to fit the uint16 counts.
+    completions, hosts) array, one block of anchor images within _GATHER_BYTES
+    at a time (one block for any n <= 5).  With no injective map the counts
+    are zero and the stack is not read.  No count exceeds the completions
+    count, which is checked to fit the uint16 counts.
     """
     n, k = adj.shape[1], len(anchors)
     shape = (perm(n, k), perm(max(n - k, 0), d.v - k))
@@ -308,10 +310,15 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
     col = {x: i for i, x in enumerate(list(anchors) + [x for x in range(d.v) if x not in anchors])}
     maps = _injective_maps(n, d.v).reshape(shape + (d.v,))
     rows = np.ascontiguousarray(adj.reshape(len(adj), n * n).T)
-    hit = np.ones(shape + (len(adj),), dtype=np.uint8)
-    for u, w in d.arcs:
-        hit &= rows[maps[..., col[u]] * n + maps[..., col[w]]]
-    return hit.sum(axis=1, dtype=np.uint16).T
+    step = max(1, _GATHER_BYTES // (shape[1] * len(adj)))
+    counts = np.empty((len(adj), shape[0]), dtype=np.uint16)
+    for a in range(0, shape[0], step):
+        block = maps[a : a + step]
+        hit = np.ones(block.shape[:2] + (len(adj),), dtype=np.uint8)
+        for u, w in d.arcs:
+            hit &= rows[block[..., col[u]] * n + block[..., col[w]]]
+        counts[:, a : a + step] = hit.sum(axis=1, dtype=np.uint16).T
+    return counts
 
 
 @lru_cache(maxsize=64)

@@ -184,6 +184,16 @@ def test_sparse_four_pairs():
     assert not sc.violates
 
 
+def test_sparse_violation_boundary_is_exact():
+    # 16^30 = 2^120 only ties the benchmark; one vertex fewer beats it
+    tie = sparse_non_tas([2] * 14 + [1] * 2)
+    assert (tie.m, tie.k, tie.e) == (16, 30, 120)
+    assert not tie.violates
+    beat = sparse_non_tas([2] * 13 + [1] * 3)
+    assert (beat.m, beat.k, beat.e) == (16, 29, 120)
+    assert beat.violates
+
+
 def test_sparse_two_units():
     sc = sparse_non_tas([1, 1])
     assert sc.e == 1 and not sc.violates

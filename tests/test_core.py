@@ -8,7 +8,6 @@ from toursid.core import (
     Orientation,
     _neighbours,
     _path_order,
-    _simple_paths,
     alternating_cycle,
     as_cycle,
     digraph,
@@ -224,12 +223,3 @@ PAW = _neighbours(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
         "cycle", "cycle-path", "two", "one", "paw"])
 def test_path_order(adj, vertices, order):
     assert _path_order(adj, vertices) == order
-
-
-def test_simple_paths_of_a_given_length():
-    assert sorted(_simple_paths(CYCLE, 0, 2)) == [(0, 1, 2), (0, 3, 2)]
-    assert list(_simple_paths(CYCLE, 0, 0)) == [(0,)]
-    assert list(_simple_paths(TWO, 0, 2)) == []
-    # no path repeats a vertex, so the cycle's longest paths have 3 edges
-    assert len(list(_simple_paths(CYCLE, 2, 3))) == 2
-    assert list(_simple_paths(CYCLE, 2, 4)) == []

@@ -339,6 +339,23 @@ def test_eval_zero_kernel_gives_benchmark():
         assert eval_spoly(p, b) == F(3**p.v, 2**p.e)
 
 
+
+def test_eval_counts_only_the_moments_the_terms_hold(monkeypatch):
+    count, asked = toursid.spectral.hom_count, []
+
+    def recording(d, host):
+        asked.append(d.e)
+        return count(d, host)
+
+    monkeypatch.setattr(toursid.spectral, "hom_count", recording)
+    b = _random_rational_skew(4, 3)
+    for text in ("><<<", "><><>", ">>>>>><", "><<<<<<<<"):
+        p = expand_path(text)
+        asked.clear()
+        value = eval_spoly(p, b)
+        assert asked == p.indices() and len(asked) < max(asked)
+        assert value == hom_path(text, w_eps(b, 1)).raw
+
 # --- certify_sign ---------------------------------------------------------------
 
 

@@ -496,6 +496,33 @@ def test_the_star_at_the_cap_counts_in_uint16():
     assert peak < 50 * 2**20, peak
 
 
+def test_labeled_counts_in_blocks_equal_one_block(monkeypatch):
+    # one anchor image per block, and blocks that leave a shorter last one,
+    # count what one block of every anchor image does at n = 6
+    adj = tournament_stack(6)
+    cases = [(digraph(3, [(0, 1), (1, 2)]), (0,)),
+             (digraph(4, [(0, 1), (1, 2), (2, 3)]), (0, 2)), (STAR, (0, 1, 2))]
+    monkeypatch.setattr(toursid.trees, "_GATHER_BYTES", 2**40)
+    whole = [_labeled_counts(d, adj, anchors) for d, anchors in cases]
+    for budget in (1, 5 * 2**20):
+        monkeypatch.setattr(toursid.trees, "_GATHER_BYTES", budget)
+        for (d, anchors), want in zip(cases, whole):
+            assert np.array_equal(_labeled_counts(d, adj, anchors), want), (d.arcs, anchors, budget)
+
+
+def test_the_four_star_at_the_cap_gathers_in_blocks():
+    # one anchor image's block is 120 completions x 32,768 hosts (3.75 MiB);
+    # all six images at once, with their gathered rows, peaked at about 46 MB
+    tournament_stack(6)
+    tracemalloc.start()
+    try:
+        rep = strong_tas_check(digraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), (0,), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.counterexample["n"] == 6
+    assert peak < 16 * 2**20, peak
+
 def test_labeled_counts_refuse_counts_past_uint16(monkeypatch):
     # a 9-vertex path anchored at one vertex has perm(9, 8) = 362,880
     # completions at n = 10; the guard trips before any map table is built
