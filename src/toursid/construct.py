@@ -212,7 +212,14 @@ class SparseConstruction:
     @property
     def violates(self) -> bool:
         # every orientation has quotient-hom density m^-k, which beats the
-        # 2^-e benchmark exactly when m^k < 2^e, decided in integers
+        # 2^-e benchmark exactly when m^k < 2^e, decided in integers; with
+        # 2^(b-1) <= m < 2^b, m^k lies in [2^(k(b-1)), 2^(kb)), so the power
+        # is taken only when e falls strictly inside that bracket
+        b = self.m.bit_length()
+        if self.k * b <= self.e:
+            return True
+        if self.k * (b - 1) >= self.e:
+            return False
         return self.m**self.k < 2**self.e
 
 

@@ -1,9 +1,9 @@
 """Refutation and discovery of counting-bound violations.
 
-Stage 1 checks the weighted half-loop form of every unweighted tournament up
-to a size cap in exact arithmetic: h must stay >= n^v/2^e (TS) or
-<= n^v/2^e (TAS), and the first strict violation becomes an exact
-certificate after re-verification on an independent evaluator.  Stage 2
+Stage 1 checks the weighted half-loop form of every unweighted tournament,
+up to isomorphism and up to a size cap, in exact arithmetic: h must stay
+>= n^v/2^e (TS) or <= n^v/2^e (TAS), and the first strict violation becomes
+an exact certificate after re-verification on an independent evaluator.  Stage 2
 runs a projected-gradient ascent over the skew parametrization of weighted
 hosts, rationalizes promising float hosts, and certifies them exactly.
 
@@ -34,9 +34,9 @@ from .tournament import (
     Tournament,
     WeightedTournament,
     _freeze,
+    class_stack,
     half_loop_stack,
     skew_decompose,
-    tournament_stack,
     transitive,
     with_half_loops,
 )
@@ -239,15 +239,18 @@ def refute(
 ) -> RefutationReport:
     """Exhaustive small-host scan, then (budget permitting) optimizer probes.
 
-    For n = 1..n_max in turn, one kernel call counts the pattern in every
-    half-loop tournament host at once.  It runs on the integer matrices 2A,
-    in int64 under the kernel's overflow guard, so it yields 2^e h exactly,
-    to be compared with n^v.  At the first n with a strict violation, the
-    lowest-index violating host is rebuilt and passed to certify, which
-    rechecks it independently.  A rationalized optimizer host is certified
-    only if it breaks the mode's bound.  budget counts optimizer restarts,
-    at most OPTIMIZER_BUDGET_CAP; 0 skips stage 2.  optimizer_n, when
-    given, is the optimizer's host size, 2 <= optimizer_n <= OPTIMIZER_N_CAP.
+    For n = 1..n_max in turn, one kernel call counts the pattern in one
+    half-loop host per isomorphism class, the class member of least index
+    in tournament_stack(n): h does not change when a host is relabelled, so
+    the first violating class starts at the lowest-index violating host.
+    It runs on the integer matrices 2A, in int64 under the kernel's
+    overflow guard, so it yields 2^e h exactly, to be compared with n^v.
+    At the first n with a strict violation, that host is rebuilt and passed
+    to certify, which rechecks it independently.  samples counts every
+    labeled host.  A rationalized optimizer host is certified only if it
+    breaks the mode's bound.  budget counts optimizer restarts, at most
+    OPTIMIZER_BUDGET_CAP; 0 skips stage 2.  optimizer_n, when given, is the
+    optimizer's host size, 2 <= optimizer_n <= OPTIMIZER_N_CAP.
     """
     if mode not in (MODE_TAS, MODE_TS):
         raise InvalidInput("mode must be 'TAS' or 'TS'")
@@ -267,14 +270,13 @@ def refute(
     wanted = CertDirection.VIOLATES_TAS if mode == MODE_TAS else CertDirection.VIOLATES_TS
     samples = 0
     for n in range(1, n_max + 1):
-        adj = tournament_stack(n)
         counts = contract(d, half_loop_stack(n))
         target = n**d.v
-        samples += len(adj)
+        samples += 2 ** (n * (n - 1) // 2)
         hits = np.flatnonzero(counts > target if wanted is CertDirection.VIOLATES_TAS
                               else counts < target)
         if hits.size:
-            host = with_half_loops(Tournament(n, _freeze(adj[hits[0]].tolist())))
+            host = with_half_loops(Tournament(n, _freeze(class_stack(n)[hits[0]].tolist())))
             cert = certify(pattern, host, wanted)
             if cert is None or cert.value != Fraction(int(counts[hits[0]]), 2**d.e):
                 raise InternalAssertionFailed("the scan's violation failed exact certification")

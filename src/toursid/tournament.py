@@ -18,7 +18,7 @@ import numpy as np
 from .core import _read_text
 from .errors import CapExceeded, InvalidInput, MissingHalfLoops, SizeMismatch
 
-ENUMERATION_CAP = 6  # the n = 6 stack is 1.2 MB; n = 7 would be 103 MB
+ENUMERATION_CAP = 6  # CLASS_INDICES stops here; the labeled n = 7 stack would be 103 MB
 CUTNORM_CAP = 16
 
 _FLOAT_TOL = 1e-12
@@ -147,6 +147,27 @@ def skew(rows) -> SkewMatrix:
     return SkewMatrix(len(rows), rows)
 
 
+# The least index in tournament_stack(n) of each isomorphism class of
+# n-vertex tournaments, in increasing order: 1, 1, 2, 4, 12 and 56 classes
+# (OEIS A000568).  tests/test_host_tables.py recomputes them by brute force.
+CLASS_INDICES = {
+    1: (0,),
+    2: (0,),
+    3: (0, 2),
+    4: (0, 2, 8, 9),
+    5: (0, 2, 8, 9, 64, 65, 66, 67, 72, 80, 81, 200),
+    6: (0, 2, 8, 9, 64, 65, 66, 67, 72, 80, 81, 200, 1024, 1025, 1026, 1027, 1032,
+        1033, 1034, 1035, 1040, 1041, 1043, 1051, 1088, 1089, 1090, 1096, 1104, 1105,
+        1152, 1153, 1154, 1155, 1156, 1157, 1158, 1159, 1160, 1161, 1162, 1165, 1169,
+        1171, 1177, 1224, 3136, 3137, 3138, 3141, 3142, 3152, 3153, 3157, 3264, 3340),
+}
+
+
+def _check_cap(n: int) -> None:
+    if not (1 <= n <= ENUMERATION_CAP):
+        raise CapExceeded(f"enumeration capped at n <= {ENUMERATION_CAP}")
+
+
 def tournament_stack(n: int) -> np.ndarray:
     """All 2^(n(n-1)/2) tournaments as 0/1 adjacency matrices, shape (count, n, n).
 
@@ -156,15 +177,23 @@ def tournament_stack(n: int) -> np.ndarray:
     stack is built once per process and shared read-only; under the cap
     all of them together take 1.2 MB.
     """
-    if not (1 <= n <= ENUMERATION_CAP):
-        raise CapExceeded(f"enumeration capped at n <= {ENUMERATION_CAP}")
+    _check_cap(n)
     return _stack(n)
 
 
-@lru_cache(maxsize=None)
-def _stack(n: int) -> np.ndarray:
+def class_stack(n: int) -> np.ndarray:
+    """One tournament per isomorphism class: the rows CLASS_INDICES[n] of
+    tournament_stack(n), decoded by its bit rule without building it.
+
+    Built once per n and shared read-only; the n = 6 stack holds 56 hosts.
+    """
+    _check_cap(n)
+    return _classes(n)
+
+
+def _decode(n: int, masks: np.ndarray) -> np.ndarray:
+    """The read-only 0/1 adjacency matrices of the hosts with these indices."""
     pairs = list(zip(*np.triu_indices(n, 1)))
-    masks = np.arange(1 << len(pairs), dtype=np.uint32)
     adj = np.zeros((len(masks), n, n), dtype=np.uint8)
     for k, (i, j) in enumerate(pairs):
         adj[:, i, j] = (masks >> (len(pairs) - 1 - k)) & 1
@@ -174,13 +203,23 @@ def _stack(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _stack(n: int) -> np.ndarray:
+    return _decode(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32))
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> np.ndarray:
+    return _decode(n, np.array(CLASS_INDICES[n], dtype=np.uint32))
+
+
+@lru_cache(maxsize=None)
 def half_loop_stack(n: int) -> np.ndarray:
-    """The integer matrices 2A + I of tournament_stack(n), in its order.
+    """The integer matrices 2A + I of class_stack(n), in its order.
 
     Each is twice the half-loop host of a tournament.  Built once per n and
-    shared read-only, like the stack; under the cap they too take 1.2 MB.
+    shared read-only, like the class stack.
     """
-    twice = 2 * tournament_stack(n) + np.eye(n, dtype=np.uint8)
+    twice = 2 * class_stack(n) + np.eye(n, dtype=np.uint8)
     twice.flags.writeable = False
     return twice
 

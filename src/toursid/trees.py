@@ -17,9 +17,13 @@ reproducible.
 
 The anchored checks (strong TAS and the AM-GM gluing step) count every host
 of size n in one pass: `_labeled_counts` evaluates all injective maps of the
-pattern on the whole 0/1 `tournament_stack(n)` at once, and the first
-violation is taken in host-then-embedding order.  Both tables, the stack
-and the maps, are built once per process and shared read-only.
+pattern on the 0/1 `class_stack(n)` at once, one host per isomorphism
+class.  Relabelling a host, and its anchor images with it, keeps every
+count they compare, so a class breaks the bound exactly when its least
+labeled member does; the classes come in order of that index, so the first
+violation found is the first in labeled host-then-embedding order, and is
+reported at its labeled position.  Both tables, the class stack and the
+maps, are built once per process and shared read-only.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     NotIndependent,
     PreconditionViolated,
 )
-from .tournament import ENUMERATION_CAP, Tournament, _freeze, tournament_stack
+from .tournament import CLASS_INDICES, ENUMERATION_CAP, Tournament, _freeze, class_stack
 
 PROV_CATERPILLAR = "CaterpillarRule"
 PROV_ISO_PAIR = "IsoPairRecursion"
@@ -297,9 +301,10 @@ def _labeled_counts(d: Digraph, adj: np.ndarray, anchors) -> np.ndarray:
     row p * n + q holds A[p, q] of every host; each arc then gathers whole
     rows, one per map phi at phi(u) * n + phi(w), into an (anchor images,
     completions, hosts) array, one block of anchor images within _GATHER_BYTES
-    at a time (one block for any n <= 5).  With no injective map the counts
-    are zero and the stack is not read.  No count exceeds the completions
-    count, which is checked to fit the uint16 counts.
+    at a time (one block for every class stack, and for any labeled stack
+    with n <= 5).  With no injective map the counts are zero and the stack
+    is not read.  No count exceeds the completions count, which is checked
+    to fit the uint16 counts.
     """
     n, k = adj.shape[1], len(anchors)
     shape = (perm(n, k), perm(max(n - k, 0), d.v - k))
@@ -347,17 +352,19 @@ def strong_tas_check(d: Digraph, i_set, n_max: int) -> ExhaustiveReport:
             raise NotIndependent(f"arc ({u},{w}) lies inside the anchored set")
     checked, k = 0, len(i_set)
     for n in range(1, n_max + 1):
-        adj = tournament_stack(n)
+        adj = class_stack(n)
         counts = _labeled_counts(d, adj, i_set)
         # an integer count exceeds n^(v-k)/2^e iff it exceeds the floor; none exceeds n!
         hits = np.flatnonzero(counts > min(n ** (d.v - k) // 2**d.e, factorial(n)))
         if hits.size:
-            s, a = divmod(int(hits[0]), counts.shape[1])
-            return ExhaustiveReport(False, checked + int(hits[0]) + 1, {
-                "n": n, "adj": Tournament(n, _freeze(adj[s].tolist())).adj,
+            c, a = divmod(int(hits[0]), counts.shape[1])
+            # class row c is labeled host CLASS_INDICES[n][c]; count up to its image a
+            checked += CLASS_INDICES[n][c] * counts.shape[1] + a + 1
+            return ExhaustiveReport(False, checked, {
+                "n": n, "adj": Tournament(n, _freeze(adj[c].tolist())).adj,
                 "embedding": tuple(zip(i_set, list(permutations(range(n), k))[a])),
-                "count": int(counts[s, a]), "bound": Fraction(n ** (d.v - k), 2**d.e)})
-        checked += counts.size
+                "count": int(counts[c, a]), "bound": Fraction(n ** (d.v - k), 2**d.e)})
+        checked += 2 ** (n * (n - 1) // 2) * counts.shape[1]
     return ExhaustiveReport(True, checked, None)
 
 
@@ -379,14 +386,15 @@ def amgm_check(h: Digraph, w: int, n_max: int) -> ExhaustiveReport:
     d, v_new, _ = glued_pair_digraph(h, w)
     checked = 0
     for n in range(1, n_max + 1):
-        adj = tournament_stack(n)
+        adj = class_stack(n)
         n_h = _labeled_counts(h, adj, ()).astype(np.int64)
         counts = _labeled_counts(d, adj, (v_new,))
         hits = np.flatnonzero(counts > n_h * n_h // 4)  # 4c > m^2 iff c > floor(m^2/4)
         if hits.size:
-            s, t = divmod(int(hits[0]), n)
-            return ExhaustiveReport(False, checked + int(hits[0]) + 1, {
-                "n": n, "adj": Tournament(n, _freeze(adj[s].tolist())).adj, "t": t,
-                "count": int(counts[s, t]), "bound": Fraction(int(n_h[s, 0]) ** 2, 4)})
-        checked += counts.size
+            c, t = divmod(int(hits[0]), n)
+            checked += CLASS_INDICES[n][c] * n + t + 1
+            return ExhaustiveReport(False, checked, {
+                "n": n, "adj": Tournament(n, _freeze(adj[c].tolist())).adj, "t": t,
+                "count": int(counts[c, t]), "bound": Fraction(int(n_h[c, 0]) ** 2, 4)})
+        checked += 2 ** (n * (n - 1) // 2) * n
     return ExhaustiveReport(True, checked, None)

@@ -5,6 +5,7 @@ import pytest
 
 from toursid.construct import (
     CertDirection,
+    SparseConstruction,
     ab_construction,
     certificate,
     named_kernel,
@@ -192,6 +193,16 @@ def test_sparse_violation_boundary_is_exact():
     beat = sparse_non_tas([2] * 13 + [1] * 3)
     assert (beat.m, beat.k, beat.e) == (16, 29, 120)
     assert beat.violates
+
+
+def test_sparse_violation_bracket_equals_the_exact_power():
+    # every m in 2..60 with k in m..3m vertices and e = m(m-1)/2 edges
+    for m in range(2, 61):
+        e = m * (m - 1) // 2
+        for k in range(m, 3 * m + 1):
+            assert SparseConstruction((), (), m, k, e).violates == (m**k < 2**e), (m, k)
+    # 1000 parts of 1000: decided by the bracket, with no 10^6-digit power
+    assert not SparseConstruction((), (), 1000, 10**6, 499_500).violates
 
 
 def test_sparse_two_units():

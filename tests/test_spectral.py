@@ -22,7 +22,6 @@ from toursid.spectral import (
     CertVerdict,
     SPolynomial,
     _mono_text,
-    _reachable_factor,
     certify_sign,
     check_x_lemma,
     eigenvalues,
@@ -408,8 +407,45 @@ TABLE1 = {
 }
 
 
+def _frozen_reachable_factor(src, dst):
+    """A frozen copy of spectral._reachable_factor: the rational part of the
+    factor bounding the X-multiset src by dst through moves (iii) and (iv),
+    found breadth first, or None."""
+    if sum(dst) > sum(src) or len(dst) > len(src):
+        return None
+    target = tuple(sorted(dst))
+    seen = {tuple(sorted(src))}
+    frontier = [tuple(sorted(src))]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            if cur == target:
+                return Fraction(1, 2 ** (sum(src) - sum(dst)))
+            for i, a in enumerate(cur):
+                rest = cur[:i] + cur[i + 1 :]
+                for bnew in range(0, a, 2):  # (iii): a -> bnew, 0 drops the factor
+                    cand = tuple(sorted(rest + (bnew,))) if bnew else rest
+                    if cand not in seen and sum(cand) >= sum(target) and len(cand) >= len(target):
+                        seen.add(cand)
+                        nxt.append(cand)
+                for j in range(i + 1, len(cur)):  # (iv) on equal pairs
+                    if cur[j] != a:
+                        continue
+                    rest2 = tuple(x for k, x in enumerate(cur) if k not in (i, j))
+                    for u in range(2, a + 1, 2):
+                        lo, hi = a - u, a + u
+                        cand = tuple(sorted(rest2 + ((lo,) if lo else ()) + (hi,)))
+                        if cand not in seen and len(cand) >= len(target):
+                            seen.add(cand)
+                            nxt.append(cand)
+        frontier = nxt
+    return None
+
+
 def _eliminate_oracle(terms, bad_sign, trace, depth=0):
-    """The certifier's backtracking search with no pruning and no memo."""
+    """The certifier's backtracking search with no pruning and no memo, on
+    its own frozen reachability search, so it shares no search code with
+    the certifier."""
     if depth > 64:
         return False
     bads = [k for k, c in terms.items() if (c > 0) == (bad_sign > 0)]
@@ -421,7 +457,7 @@ def _eliminate_oracle(terms, bad_sign, trace, depth=0):
     goods = sorted((k for k, c in terms.items() if (c > 0) != (bad_sign > 0)), key=rank,
                    reverse=True)
     for gz, gruns in goods:
-        frac = _reachable_factor.__wrapped__(worst[1], gruns)
+        frac = _frozen_reachable_factor(worst[1], gruns)
         if frac is None:
             continue
         moved = coeff * frac

@@ -22,7 +22,7 @@ from toursid.errors import (
     NotIndependent,
     PreconditionViolated,
 )
-from toursid.tournament import ENUMERATION_CAP, Tournament, tournament_stack
+from toursid.tournament import CLASS_INDICES, ENUMERATION_CAP, Tournament, tournament_stack
 import toursid
 from toursid.trees import (
     PROV_CATERPILLAR,
@@ -269,21 +269,23 @@ def test_amgm_cap():
 
 def test_amgm_reports_a_forced_violation(monkeypatch):
     # the AM-GM step is a theorem, so only a wrong count reaches this branch:
-    # raise the glued count of host 5 of n = 3 (the cyclic triangle) at t = 2
+    # raise the glued count at t = 2 of the cyclic triangle's class row, whose
+    # least labeled index at n = 3 is 2
     real = toursid.trees._labeled_counts
+    cyclic = CLASS_INDICES[3].index(2)
 
     def raised(d, adj, anchors):
         counts = real(d, adj, anchors)
         if anchors and adj.shape[1] == 3:
             counts = counts.copy()
-            counts[5, 2] = 100
+            counts[cyclic, 2] = 100
         return counts
 
     monkeypatch.setattr(toursid.trees, "_labeled_counts", raised)
     rep = amgm_check(digraph(2, [(0, 1)]), 1, n_max=4)
-    # 1 + 2 * 2 maps checked at n = 1, 2, then hosts 0..4 and t = 0..2 of host 5
-    assert (rep.passed, rep.checked) == (False, 5 + 5 * 3 + 3)
-    assert rep.counterexample == {"n": 3, "adj": ((0, 1, 0), (0, 0, 1), (1, 0, 0)), "t": 2,
+    # 1 + 2 * 2 maps checked at n = 1, 2, then labeled hosts 0, 1 and t = 0..2 of host 2
+    assert (rep.passed, rep.checked) == (False, 1 + 4 + 2 * 3 + 2 + 1)
+    assert rep.counterexample == {"n": 3, "adj": ((0, 0, 1), (1, 0, 0), (0, 1, 0)), "t": 2,
                                   "count": 100, "bound": F(9, 4)}
 
 
